@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from repro.crypto.ctr import CounterModeCipher
 from repro.crypto.mac import MacEngine
@@ -21,7 +21,14 @@ from repro.units import CACHELINE_BYTES
 
 @dataclass(frozen=True)
 class TensorMetadata:
-    """What the receiver needs to admit a ciphertext tensor."""
+    """What the receiver needs to admit a ciphertext tensor.
+
+    ``src_frame_pas`` lists the sender's physical frame for every page the
+    tensor spans (:meth:`repro.mem.layout.PageTable.frames_of`): the
+    sender's page table shuffles frames, so the receiver cannot derive a
+    line's source PA from ``src_base_pa`` alone. Empty means physically
+    contiguous.
+    """
 
     name: str
     src_base_va: int
@@ -29,6 +36,7 @@ class TensorMetadata:
     n_lines: int
     vn: int
     tensor_mac: int
+    src_frame_pas: Tuple[int, ...] = ()
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -38,11 +46,12 @@ class TensorMetadata:
             "n_lines": self.n_lines,
             "vn": self.vn,
             "tensor_mac": self.tensor_mac,
+            "src_frame_pas": list(self.src_frame_pas),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "TensorMetadata":
-        return cls(**payload)
+        return cls(**{**payload, "src_frame_pas": tuple(payload["src_frame_pas"])})
 
 
 class TrustedChannel:
@@ -58,12 +67,8 @@ class TrustedChannel:
     def _crypt(self, blob: bytes, seq: int) -> bytes:
         padded_len = -(-len(blob) // CACHELINE_BYTES) * CACHELINE_BYTES
         padded = blob.ljust(padded_len, b"\x00")
-        out = bytearray()
-        for i in range(0, padded_len, CACHELINE_BYTES):
-            out += self._cipher.encrypt_line(
-                padded[i : i + CACHELINE_BYTES], pa=i, vn=seq
-            )
-        return bytes(out)
+        pas = range(0, padded_len, CACHELINE_BYTES)
+        return self._cipher.encrypt_lines(padded, pas, [seq] * len(pas))
 
     def send(self, metadata: TensorMetadata) -> Dict[str, Any]:
         """Encrypt+authenticate one metadata message; returns the wire form."""

@@ -208,6 +208,10 @@ def mee_cache_geometry(
     """
     if tensors <= 0 or lines_per_tensor <= 0 or iterations <= 0:
         raise ConfigError("tensors, lines_per_tensor and iterations must be positive")
+    if capacity_kib <= 0 or ways <= 0:
+        raise ConfigError("capacity_kib and ways must be positive")
+    if (capacity_kib * KiB // 64) % ways:
+        raise ConfigError(f"{capacity_kib} KiB of 64 B lines does not divide into {ways}-way sets")
     if vec.enabled():
         return _mee_geometry_batched(
             capacity_kib=capacity_kib,

@@ -10,7 +10,7 @@ same way real hardware does.
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.units import CACHELINE_BYTES, PAGE_BYTES
@@ -66,7 +66,43 @@ class PageTable:
         pick = self._rng.randrange(len(self._free_frames))
         return self._free_frames.pop(pick)
 
+    def frames_of(self, base_va: int, n_lines: int) -> Tuple[int, ...]:
+        """Physical frame base of every virtual page a line range spans.
+
+        Together with the translated ``base_va`` this is a range's complete
+        source-coordinate record: :func:`source_line_pas` rebuilds each
+        line's PA from it on the far side of a transfer.
+        """
+        if n_lines <= 0:
+            raise ConfigError("a line range covers at least one line")
+        first = page_of(base_va)
+        last = page_of(base_va + (n_lines - 1) * CACHELINE_BYTES)
+        return tuple(
+            self.translate(vpage) for vpage in range(first, last + PAGE_BYTES, PAGE_BYTES)
+        )
+
     @property
     def mapped_pages(self) -> int:
         """Number of virtual pages touched so far."""
         return len(self._va_to_frame)
+
+
+def source_line_pas(base_pa: int, frame_pas: Sequence[int], n_lines: int) -> List[int]:
+    """Physical address of each line of a virtually contiguous range.
+
+    ``base_pa`` is the PA of the first line and ``frame_pas`` the frame base
+    of every page the range spans, in virtual order (:meth:`PageTable.frames_of`).
+    An empty ``frame_pas`` means a physically contiguous range.
+    """
+    offset = base_pa % PAGE_BYTES
+    n_pages = (offset + n_lines * CACHELINE_BYTES + PAGE_BYTES - 1) // PAGE_BYTES
+    if not frame_pas:
+        frame_pas = [base_pa - offset + k * PAGE_BYTES for k in range(n_pages)]
+    elif len(frame_pas) != n_pages or frame_pas[0] != base_pa - offset:
+        raise ConfigError(
+            f"{len(frame_pas)} frames do not describe {n_lines} lines from {base_pa:#x}"
+        )
+    return [
+        frame_pas[byte // PAGE_BYTES] + byte % PAGE_BYTES
+        for byte in range(offset, offset + n_lines * CACHELINE_BYTES, CACHELINE_BYTES)
+    ]

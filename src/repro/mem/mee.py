@@ -15,7 +15,7 @@ VN store or the tree, and reads must raise.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import vec
 from repro.crypto.ctr import CounterModeCipher
@@ -29,6 +29,10 @@ from repro.units import CACHELINE_BYTES, MiB
 
 LINE = CACHELINE_BYTES
 VNS_PER_LEAF = 8
+
+#: A batch's VN argument: ``None`` (the engine's own per-line VNs), one
+#: shared tensor VN, or one caller-supplied VN per line.
+BatchVn = Union[None, int, Sequence[int]]
 
 
 class FunctionalMee:
@@ -127,13 +131,14 @@ class FunctionalMee:
         self,
         vaddrs: Sequence[int],
         plaintexts: bytes,
-        vn: Optional[int] = None,
+        vn: BatchVn = None,
     ) -> Tuple[List[int], List[int]]:
         """Encrypt and store a whole stream of lines in one batch.
 
         ``plaintexts`` concatenates one full line per address; ``vn`` is
-        the shared tensor VN (``None`` bumps each line's own VN, as in
-        :meth:`write_line`). Returns the per-line ``(old_macs, new_macs)``
+        a shared tensor VN, a sequence of one VN per line (TenAnalyzer's
+        per-line decisions), or ``None`` to bump each line's own VN, as in
+        :meth:`write_line`. Returns the per-line ``(old_macs, new_macs)``
         lists. End state (DRAM, VN/MAC stores, Merkle tree, stats) is
         identical to a :meth:`write_line` loop; the batch encrypts all
         lines through one keystream call and touches each Merkle leaf
@@ -146,11 +151,14 @@ class FunctionalMee:
             )
         pas = [self._pa_of(vaddr) for vaddr in vaddrs]
         indices = [self._line_index(pa) for pa in pas]
-        vns: List[int] = []
-        for index in indices:
-            line_vn = self.vn_store.get(index, 0) + 1 if vn is None else vn
-            self.vn_store[index] = line_vn
-            vns.append(line_vn)
+        if vn is None:
+            vns: List[int] = []
+            for index in indices:
+                self.vn_store[index] = self.vn_store.get(index, 0) + 1
+                vns.append(self.vn_store[index])
+        else:
+            vns = self._batch_vns(vn, len(vaddrs))
+            self.vn_store.update(zip(indices, vns))
         ciphertexts = self.cipher.encrypt_lines(plaintexts, pas, vns)
         new_macs = self.mac.line_macs(ciphertexts, LINE, pas, vns)
         old_macs: List[int] = []
@@ -167,6 +175,15 @@ class FunctionalMee:
                 self.stats.add("merkle_updates", len(leaves))
         self.stats.add("writes", len(vaddrs))
         return old_macs, new_macs
+
+    def _batch_vns(self, vn: BatchVn, n_lines: int) -> List[int]:
+        """Per-line VNs of a batch whose caller supplied ``vn``."""
+        if isinstance(vn, int):
+            return [vn] * n_lines
+        vns = list(vn)
+        if len(vns) != n_lines:
+            raise ConfigError(f"{self.name}: {len(vns)} VNs for a {n_lines}-line batch")
+        return vns
 
     # -- read path ----------------------------------------------------------------
 
@@ -213,13 +230,14 @@ class FunctionalMee:
     def read_lines(
         self,
         vaddrs: Sequence[int],
-        vn: Optional[int] = None,
+        vn: BatchVn = None,
         verify: bool = True,
     ) -> bytes:
         """Fetch, verify and decrypt a whole stream of lines in one batch.
 
-        Same semantics per line as :meth:`read_line` (shared tensor ``vn``
-        or per-line off-chip VN with Merkle authentication); the batch
+        Same semantics per line as :meth:`read_line`: ``vn`` is a shared
+        tensor VN or one caller-supplied VN per line, or ``None`` for the
+        per-line off-chip VNs with Merkle authentication. The batch
         decrypts every line through one keystream call. Verification
         failures re-raise through the scalar path so the replay/tamper
         classification is identical.
@@ -235,7 +253,7 @@ class FunctionalMee:
                     self.stats.add("merkle_walks", len(leaves))
             vns = [self.vn_store.get(index, 0) for index in indices]
         else:
-            vns = [vn] * len(vaddrs)
+            vns = self._batch_vns(vn, len(vaddrs))
         dram_read = self.dram.read_line
         ciphertexts = b"".join(dram_read(pa) for pa in pas)
         if verify:
@@ -243,7 +261,7 @@ class FunctionalMee:
             for i, index in enumerate(indices):
                 if actual[i] != self.mac_store.get(index, 0):
                     # Replay the scalar read for its exact failure taxonomy.
-                    self.read_line(vaddrs[i], vn=vn, verify=True)
+                    self.read_line(vaddrs[i], vn=None if vn is None else vns[i])
         self.stats.add("reads", len(vaddrs))
         return self.cipher.decrypt_lines(ciphertexts, pas, vns)
 

@@ -7,18 +7,24 @@ under the *same* DH session keys after attestation, which is what makes the
 direct ciphertext transfer decryptable on the far side (Sec. 4.4).
 
 Ciphertext portability: counters and MACs bind the *source* physical
-address; a transferred tensor carries its source coordinates in the
-trusted-channel metadata, and the receiving device records them as the
-tensor's crypto context (``pa_override``), so no re-encryption is needed.
+address; a transferred tensor carries its source coordinates (base PA plus
+the sender's frame for every page it spans) in the trusted-channel
+metadata, and the receiving device records them as the tensor's crypto
+context, so no re-encryption is needed.
+
+Every tensor-level operation runs as one batch: one keystream, one MAC
+pass and one Merkle pass per tensor through the MEE and crypto batch APIs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.tenanalyzer import TenAnalyzer
+from repro.crypto.mac import TensorMacAccumulator
 from repro.errors import ConfigError, IntegrityError
+from repro.mem.layout import source_line_pas
 from repro.mem.mee import FunctionalMee
 from repro.npu.config import NpuConfig
 from repro.npu.delayed import DelayedVerificationEngine
@@ -34,12 +40,22 @@ from repro.units import CACHELINE_BYTES, KiB, MiB
 LINE = CACHELINE_BYTES
 
 
+#: A tensor's source coordinates: (PA of its first line, frame PA of every
+#: page it spans). See :func:`repro.mem.layout.source_line_pas`.
+SourceCoords = Tuple[int, Tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class CryptoContext:
     """Crypto coordinates of a tensor received over the direct channel."""
 
     src_base_pa: int
     vn: int
+    src_frame_pas: Tuple[int, ...] = ()
+
+    def line_pas(self, n_lines: int) -> List[int]:
+        """Source PA of each line, the address its counter and MAC bind."""
+        return source_line_pas(self.src_base_pa, self.src_frame_pas, n_lines)
 
 
 class CpuSecureDevice:
@@ -72,24 +88,34 @@ class CpuSecureDevice:
         return self.registry.allocate(name, shape, dtype)
 
     def write_tensor(self, tensor: TensorDesc, data: bytes) -> None:
-        """Write a whole tensor through the analyzer + MEE."""
+        """Write a whole tensor through the analyzer + MEE.
+
+        TenAnalyzer decides each line's VN in line order; the MEE then
+        encrypts the tensor as one batch, and the per-line MAC deltas fold
+        into the Meta Table in line order.
+        """
         if len(data) != tensor.nbytes:
             raise ConfigError(f"{tensor.name}: bad payload size {len(data)}")
-        for i, vaddr in enumerate(tensor.line_addresses()):
-            chunk = data[i * LINE : (i + 1) * LINE].ljust(LINE, b"\x00")
-            access = MemAccess(vaddr, AccessKind.WRITE, tensor_id=tensor.tensor_id)
-            outcome = self.analyzer.on_write(access)
-            old_mac, new_mac = self.mee.write_line(vaddr, chunk, vn=outcome.vn)
+        vaddrs = list(tensor.line_addresses())
+        on_write = self.analyzer.on_write
+        vns = [
+            on_write(MemAccess(vaddr, AccessKind.WRITE, tensor_id=tensor.tensor_id)).vn
+            for vaddr in vaddrs
+        ]
+        padded = data.ljust(len(vaddrs) * LINE, b"\x00")
+        old_macs, new_macs = self.mee.write_lines(vaddrs, padded, vn=vns)
+        for vaddr, old_mac, new_mac in zip(vaddrs, old_macs, new_macs):
             self.analyzer.fold_mac(vaddr, old_mac ^ new_mac)
 
     def read_tensor(self, tensor: TensorDesc) -> bytes:
         """Read a whole tensor through the analyzer + MEE (verifying)."""
-        chunks = []
-        for vaddr in tensor.line_addresses():
-            access = MemAccess(vaddr, AccessKind.READ, tensor_id=tensor.tensor_id)
-            outcome = self.analyzer.on_read(access)
-            chunks.append(self.mee.read_line(vaddr, vn=outcome.vn))
-        return b"".join(chunks)[: tensor.nbytes]
+        vaddrs = list(tensor.line_addresses())
+        on_read = self.analyzer.on_read
+        vns = [
+            on_read(MemAccess(vaddr, AccessKind.READ, tensor_id=tensor.tensor_id)).vn
+            for vaddr in vaddrs
+        ]
+        return self.mee.read_lines(vaddrs, vn=vns)[: tensor.nbytes]
 
     def tensor_metadata(self, tensor: TensorDesc) -> Tuple[int, int]:
         """(VN, tensor MAC) for the trusted channel.
@@ -111,8 +137,10 @@ class CpuSecureDevice:
             mac ^= self.mee.stored_mac(vaddr)
         return vn, mac
 
-    def base_pa(self, tensor: TensorDesc) -> int:
-        return self.mee.pages.translate(tensor.base_va)
+    def source_coords(self, tensor: TensorDesc) -> SourceCoords:
+        """Where the tensor's ciphertext is bound: always CPU-local."""
+        pages = self.mee.pages
+        return pages.translate(tensor.base_va), pages.frames_of(tensor.base_va, tensor.n_lines)
 
 
 class NpuSecureDevice:
@@ -163,24 +191,23 @@ class NpuSecureDevice:
         return self._read_received(tensor, ctx)
 
     def _read_received(self, tensor: TensorDesc, ctx: CryptoContext) -> bytes:
-        """Read a tensor that still carries source-PA crypto coordinates."""
-        from repro.crypto.mac import TensorMacAccumulator
+        """Read a tensor that still carries source-PA crypto coordinates.
 
+        The whole tensor is MAC-checked against the trusted-channel tensor
+        MAC before any of it is decrypted.
+        """
+        ciphertexts = self.raw_read_lines(tensor)
+        src_pas = ctx.line_pas(tensor.n_lines)
+        vns = [ctx.vn] * tensor.n_lines
         accumulator = TensorMacAccumulator(expected_lines=tensor.n_lines)
-        chunks = []
-        for i, vaddr in enumerate(tensor.line_addresses()):
-            pa_here = self.mee.pages.translate(vaddr)
-            ciphertext = self.mee.dram.read_line(pa_here)
-            src_pa = ctx.src_base_pa + i * LINE
-            accumulator.absorb(self.mee.mac.line_mac(ciphertext, src_pa, ctx.vn))
-            chunks.append(self.mee.cipher.decrypt_line(ciphertext, src_pa, ctx.vn))
+        accumulator.absorb_many(self.mee.mac.line_macs(ciphertexts, LINE, src_pas, vns))
         if not accumulator.matches(self.mac_table.mac_of(tensor.tensor_id)):
             raise IntegrityError(
                 f"{tensor.name}: transferred tensor failed MAC verification"
             )
         self.mac_table.set_poison(tensor.tensor_id, False)
         self.stats.add("received_reads")
-        return b"".join(chunks)[: tensor.nbytes]
+        return self.mee.cipher.decrypt_lines(ciphertexts, src_pas, vns)[: tensor.nbytes]
 
     def admit_transfer(
         self,
@@ -188,23 +215,45 @@ class NpuSecureDevice:
         vn: int,
         tensor_mac: int,
         src_base_pa: int,
+        src_frame_pas: Tuple[int, ...] = (),
     ) -> None:
-        """Record trusted-channel metadata for a directly-received tensor."""
+        """Record trusted-channel metadata for a directly-received tensor.
+
+        ``src_frame_pas`` are the sender's page frames (empty: physically
+        contiguous source); they are checked against the tensor's size here,
+        so a malformed descriptor is rejected before any data is read.
+        """
+        ctx = CryptoContext(src_base_pa=src_base_pa, vn=vn, src_frame_pas=tuple(src_frame_pas))
+        ctx.line_pas(tensor.n_lines)
         self.vn_table.set_vn(tensor, vn)
         self.mac_table.set_mac(tensor.tensor_id, tensor_mac)
         self.mac_table.set_poison(tensor.tensor_id, True)  # until first verify
-        self._crypto_ctx[tensor.tensor_id] = CryptoContext(src_base_pa=src_base_pa, vn=vn)
+        self._crypto_ctx[tensor.tensor_id] = ctx
 
     def raw_write_line(self, vaddr: int, ciphertext: bytes) -> None:
         """Direct-channel DMA: ciphertext lands in GDDR untouched."""
         self.mee.dram.write_line(self.mee.pages.translate(vaddr), ciphertext)
+
+    def raw_read_lines(self, tensor: TensorDesc) -> bytes:
+        """The tensor's stored ciphertext, line by line in VA order."""
+        translate, read = self.mee.pages.translate, self.mee.dram.read_line
+        return b"".join(read(translate(vaddr)) for vaddr in tensor.line_addresses())
 
     def tensor_metadata(self, tensor: TensorDesc) -> Tuple[int, int]:
         """(VN, tensor MAC) of an NPU tensor for the trusted channel."""
         return self.vn_table.vn_of(tensor), self.mac_table.mac_of(tensor.tensor_id)
 
     def base_pa(self, tensor: TensorDesc) -> int:
+        return self.source_coords(tensor)[0]
+
+    def source_coords(self, tensor: TensorDesc) -> SourceCoords:
+        """Where the tensor's ciphertext is bound.
+
+        A received tensor that was not rewritten still carries its sender's
+        coordinates, so a chained transfer forwards those unchanged.
+        """
         ctx = self._crypto_ctx.get(tensor.tensor_id)
         if ctx is not None:
-            return ctx.src_base_pa
-        return self.mee.pages.translate(tensor.base_va)
+            return ctx.src_base_pa, ctx.src_frame_pas
+        pages = self.mee.pages
+        return pages.translate(tensor.base_va), pages.frames_of(tensor.base_va, tensor.n_lines)

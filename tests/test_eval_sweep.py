@@ -465,6 +465,37 @@ class TestScenarioExperiments:
         assert large.hit_rate > small.hit_rate
         assert large.mean_covered_level < small.mean_covered_level
 
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            {"ways": 0},
+            {"ways": -8},
+            {"capacity_kib": 0},
+            {"ways": 3},  # 512 lines of 32 KiB do not divide into 3-way sets
+            {"capacity_kib": 8, "ways": 256},  # fewer lines than one set
+        ],
+    )
+    def test_mee_geometry_bad_geometry_rejected(self, geometry, scalar):
+        from repro import vec
+
+        run = REGISTRY.get("mee_cache_geometry").func
+        with pytest.raises(ConfigError):
+            if scalar:
+                with vec.scalar_fallback():
+                    run(iterations=1, **geometry)
+            else:
+                run(iterations=1, **geometry)
+
+    def test_mee_geometry_sweep_axis_accepted(self):
+        spec = sweep_mod.load_spec("mee_geometry")
+        axes = {axis.param: axis.values for axis in spec.axes}
+        assert axes["ways"] == (2, 8)
+        run = REGISTRY.get("mee_cache_geometry").func
+        for capacity_kib in axes["capacity_kib"]:
+            for ways in axes["ways"]:
+                assert run(capacity_kib=capacity_kib, ways=ways, iterations=1).ways == ways
+
     def test_mac_policy_bad_policy_rejected(self):
         with pytest.raises(ConfigError, match="unknown policy"):
             REGISTRY.get("mac_policy").func(policy="lazy")
