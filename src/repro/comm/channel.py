@@ -26,8 +26,7 @@ class TensorMetadata:
     ``src_frame_pas`` lists the sender's physical frame for every page the
     tensor spans (:meth:`repro.mem.layout.PageTable.frames_of`): the
     sender's page table shuffles frames, so the receiver cannot derive a
-    line's source PA from ``src_base_pa`` alone. Empty means physically
-    contiguous.
+    line's source PA from ``src_base_pa`` alone.
     """
 
     name: str
@@ -36,7 +35,7 @@ class TensorMetadata:
     n_lines: int
     vn: int
     tensor_mac: int
-    src_frame_pas: Tuple[int, ...] = ()
+    src_frame_pas: Tuple[int, ...]
 
     def to_payload(self) -> Dict[str, Any]:
         return {

@@ -92,13 +92,10 @@ def source_line_pas(base_pa: int, frame_pas: Sequence[int], n_lines: int) -> Lis
 
     ``base_pa`` is the PA of the first line and ``frame_pas`` the frame base
     of every page the range spans, in virtual order (:meth:`PageTable.frames_of`).
-    An empty ``frame_pas`` means a physically contiguous range.
     """
     offset = base_pa % PAGE_BYTES
     n_pages = (offset + n_lines * CACHELINE_BYTES + PAGE_BYTES - 1) // PAGE_BYTES
-    if not frame_pas:
-        frame_pas = [base_pa - offset + k * PAGE_BYTES for k in range(n_pages)]
-    elif len(frame_pas) != n_pages or frame_pas[0] != base_pa - offset:
+    if len(frame_pas) != n_pages or frame_pas[0] != base_pa - offset:
         raise ConfigError(
             f"{len(frame_pas)} frames do not describe {n_lines} lines from {base_pa:#x}"
         )

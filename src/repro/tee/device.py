@@ -19,7 +19,7 @@ pass and one Merkle pass per tensor through the MEE and crypto batch APIs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cpu.tenanalyzer import TenAnalyzer
 from repro.crypto.mac import TensorMacAccumulator
@@ -47,15 +47,16 @@ SourceCoords = Tuple[int, Tuple[int, ...]]
 
 @dataclass(frozen=True)
 class CryptoContext:
-    """Crypto coordinates of a tensor received over the direct channel."""
+    """Crypto coordinates of a tensor received over the direct channel.
+
+    ``line_pas`` is the source PA of each line, the address its counter and
+    MAC bind, rebuilt once from the carried coordinates on admission.
+    """
 
     src_base_pa: int
+    src_frame_pas: Tuple[int, ...]
     vn: int
-    src_frame_pas: Tuple[int, ...] = ()
-
-    def line_pas(self, n_lines: int) -> List[int]:
-        """Source PA of each line, the address its counter and MAC bind."""
-        return source_line_pas(self.src_base_pa, self.src_frame_pas, n_lines)
+    line_pas: Tuple[int, ...]
 
 
 class CpuSecureDevice:
@@ -197,7 +198,7 @@ class NpuSecureDevice:
         MAC before any of it is decrypted.
         """
         ciphertexts = self.raw_read_lines(tensor)
-        src_pas = ctx.line_pas(tensor.n_lines)
+        src_pas = ctx.line_pas
         vns = [ctx.vn] * tensor.n_lines
         accumulator = TensorMacAccumulator(expected_lines=tensor.n_lines)
         accumulator.absorb_many(self.mee.mac.line_macs(ciphertexts, LINE, src_pas, vns))
@@ -215,16 +216,16 @@ class NpuSecureDevice:
         vn: int,
         tensor_mac: int,
         src_base_pa: int,
-        src_frame_pas: Tuple[int, ...] = (),
+        src_frame_pas: Tuple[int, ...],
     ) -> None:
         """Record trusted-channel metadata for a directly-received tensor.
 
-        ``src_frame_pas`` are the sender's page frames (empty: physically
-        contiguous source); they are checked against the tensor's size here,
-        so a malformed descriptor is rejected before any data is read.
+        ``src_frame_pas`` are the sender's page frames; they are checked
+        against the tensor's size here, so a malformed descriptor is
+        rejected before any data is read.
         """
-        ctx = CryptoContext(src_base_pa=src_base_pa, vn=vn, src_frame_pas=tuple(src_frame_pas))
-        ctx.line_pas(tensor.n_lines)
+        line_pas = source_line_pas(src_base_pa, src_frame_pas, tensor.n_lines)
+        ctx = CryptoContext(src_base_pa, tuple(src_frame_pas), vn, tuple(line_pas))
         self.vn_table.set_vn(tensor, vn)
         self.mac_table.set_mac(tensor.tensor_id, tensor_mac)
         self.mac_table.set_poison(tensor.tensor_id, True)  # until first verify
@@ -242,9 +243,6 @@ class NpuSecureDevice:
     def tensor_metadata(self, tensor: TensorDesc) -> Tuple[int, int]:
         """(VN, tensor MAC) of an NPU tensor for the trusted channel."""
         return self.vn_table.vn_of(tensor), self.mac_table.mac_of(tensor.tensor_id)
-
-    def base_pa(self, tensor: TensorDesc) -> int:
-        return self.source_coords(tensor)[0]
 
     def source_coords(self, tensor: TensorDesc) -> SourceCoords:
         """Where the tensor's ciphertext is bound.

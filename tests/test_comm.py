@@ -16,7 +16,7 @@ from repro.units import GB
 
 
 def metadata(vn=3, mac=0xABC) -> TensorMetadata:
-    return TensorMetadata("t", 0x1000, 0x2000, 16, vn, mac)
+    return TensorMetadata("t", 0x1000, 0x2000, 16, vn, mac, (0x2000,))
 
 
 class TestLinkAndEngine:

@@ -83,15 +83,19 @@ class TestNpuDevice:
 
     def test_admit_transfer_records_context(self, npu):
         t = npu.allocate("t", (64,), DType.FP32)
-        npu.admit_transfer(t, vn=9, tensor_mac=0x123, src_base_pa=0xABC000)
+        npu.admit_transfer(
+            t, vn=9, tensor_mac=0x123, src_base_pa=0xABC000, src_frame_pas=(0xABC000,)
+        )
         assert npu.vn_table.vn_of(t) == 9
         assert npu.mac_table.mac_of(t.tensor_id) == 0x123
         assert npu.mac_table.is_poisoned(t.tensor_id)  # until first verify
-        assert npu.base_pa(t) == 0xABC000
+        assert npu.source_coords(t)[0] == 0xABC000
 
     def test_local_rewrite_clears_crypto_context(self, npu):
         t = npu.allocate("t", (64,), DType.FP32)
-        npu.admit_transfer(t, vn=9, tensor_mac=0x123, src_base_pa=0xABC000)
+        npu.admit_transfer(
+            t, vn=9, tensor_mac=0x123, src_base_pa=0xABC000, src_frame_pas=(0xABC000,)
+        )
         npu.write_tensor(t, payload(t))
         assert npu.read_tensor_delayed(t) == payload(t)
 

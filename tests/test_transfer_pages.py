@@ -69,9 +69,6 @@ class TestSourceCoordinates:
         expected = [pages.translate(base_va + i * LINE) for i in range(200)]
         assert source_line_pas(pages.translate(base_va), frames, 200) == expected
 
-    def test_empty_frames_mean_contiguous(self):
-        assert source_line_pas(0xA000 + LINE, (), 3) == [0xA040, 0xA080, 0xA0C0]
-
     @pytest.mark.parametrize("frames", [(0xA000,), (0xB000, 0xC000), (0xA000, 0xC000, 0xD000)])
     def test_inconsistent_frames_rejected(self, frames):
         with pytest.raises(ConfigError):
