@@ -3,13 +3,12 @@
 The experiments are embarrassingly parallel — each one derives its
 figure/table from the analytic models with no shared mutable state — so the
 scheduler fans them out over a :class:`concurrent.futures.ProcessPoolExecutor`
-(longest-predicted-first via the learned cost model, to minimize makespan),
-replays unchanged experiments
-from the :mod:`repro.eval.cache`, and records per-experiment timing, seed,
-cache key and artifact path in ``results/manifest.json``.
+(slow cost class first, so the pool's tail is short), replays unchanged
+experiments from the :mod:`repro.eval.cache`, and records per-experiment
+timing, seed, cache key and artifact path in ``results/manifest.json``.
 
-``jobs=1`` runs everything in-process in registry order — byte-identical to
-the legacy serial runner and friendlier to debuggers.
+``jobs=1`` runs everything in-process, in the same cost-class order —
+byte-identical to the legacy serial runner and friendlier to debuggers.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.eval import cache as result_cache
-from repro.eval.cost import CostModel
 from repro.eval.journal import PointRecord, RunJournal
-from repro.eval.registry import REGISTRY, normalize_params
+from repro.eval.registry import COST_CLASSES, REGISTRY, normalize_params
 from repro.eval.tables import results_dir, save_result
 from repro.sim.stats import Stats
 
@@ -71,7 +69,6 @@ class PointRequest:
     experiment: str
     params: Dict[str, Any] = field(default_factory=dict)
     label: Optional[str] = None
-    priority: int = 0  #: higher schedules first (service jobs set it)
 
     @property
     def display(self) -> str:
@@ -129,7 +126,6 @@ class _Job:
     overrides: Dict[str, Any]
     save_artifact: bool = True
     attempt: int = 0  #: 0-based index of the current try (resumes carry over)
-    priority: int = 0
 
 
 @dataclass
@@ -209,53 +205,18 @@ class Orchestrator:
         run_seed: int = 0,
         verbose: bool = True,
         show_text: bool = False,
-        persistent_pool: bool = False,
-        cost_model: Optional[CostModel] = None,
     ) -> None:
-        self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
+        if jobs is not None and jobs < 1:
+            raise ConfigError(f"jobs must be >= 1 (omit it for the CPU count), got {jobs}")
+        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.use_cache = use_cache
         self.run_seed = run_seed
         self.verbose = verbose
         self.show_text = show_text
-        #: Predicts per-point seconds for scheduling order; built lazily
-        #: from the results-tree history on first use when not injected.
-        self.cost_model = cost_model
-        #: Keep one warm worker pool across run()/run_points() calls (the
-        #: ``repro serve`` mode) instead of building a pool per batch.
-        self.persistent_pool = persistent_pool
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._pool_broken = False
 
     def _log(self, message: str) -> None:
         if self.verbose:
             print(message, flush=True)
-
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        """The shared worker pool, (re)built on first use or after a break.
-
-        A :class:`BrokenExecutor` poisons a pool permanently, so a broken
-        persistent pool is recycled rather than resubmitted to — the batch
-        that observed the break still reports its points failed, but the
-        *next* batch gets fresh workers instead of inheriting the corpse.
-        """
-        if self._pool_broken:
-            self.shutdown_pool()
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
-            self._pool_broken = False
-        return self._pool
-
-    def shutdown_pool(self) -> None:
-        """Tear down the persistent worker pool (no-op when none is live)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "Orchestrator":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown_pool()
 
     def run(
         self,
@@ -388,7 +349,6 @@ class Orchestrator:
                         overrides=overrides,
                         save_artifact=save_artifacts,
                         attempt=prior_attempts.get(label, 0),
-                        priority=point.priority,
                     )
                 )
 
@@ -414,12 +374,6 @@ class Orchestrator:
         )
         return report
 
-    def _predicted_s(self, run: ExperimentRun) -> float:
-        """Predicted seconds for one pending run (scheduling order key)."""
-        if self.cost_model is None:
-            self.cost_model = CostModel.from_results()
-        return self.cost_model.predict(run.experiment, run.params, cost_class=run.cost).seconds
-
     def _execute(
         self,
         pending: List[_Job],
@@ -428,14 +382,12 @@ class Orchestrator:
         journal: Optional[RunJournal] = None,
         retries: int = 0,
     ) -> None:
-        # Higher-priority jobs first, then longest-predicted first so the
-        # pool's tail is short. Prediction comes from recorded history
-        # (journals/manifests) and falls back to the static
-        # slow > medium > fast priors, so even a history-free run orders
-        # all three cost classes instead of the old binary slow/not-slow
-        # sort that let "medium" points schedule dead last.
-        ordered = sorted(pending, key=lambda j: (-j.priority, -self._predicted_s(j.run)))
-        if self.jobs == 1 or (len(pending) == 1 and not self.persistent_pool):
+        # Slow cost class first, then medium, then fast, so the pool's tail
+        # is short; the sort is stable, so request order holds within a
+        # class. Seeds come from labels and report rows keep request order,
+        # so execution order never reaches an artifact.
+        ordered = sorted(pending, key=lambda j: -COST_CLASSES.index(j.run.cost))
+        if self.jobs == 1 or len(pending) == 1:
             for job in ordered:
                 while True:
                     record, error, error_type = self._run_inline(job)
@@ -444,9 +396,6 @@ class Orchestrator:
                     ):
                         break
                 self._finish(job, record, error, error_type, cache, stats, journal)
-            return
-        if self.persistent_pool:
-            self._drain_pool(self._ensure_pool(), ordered, cache, stats, journal, retries)
             return
         workers = min(self.jobs, len(ordered))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -482,7 +431,6 @@ class Orchestrator:
                     # same way and the report/journal stay complete.
                     error, error_type = format_error(exc), type(exc).__name__
                     retryable = False
-                    self._pool_broken = True
                 except Exception as exc:
                     error, error_type = format_error(exc), type(exc).__name__
                 if (
@@ -496,7 +444,6 @@ class Orchestrator:
                         )
                     except concurrent.futures.BrokenExecutor as exc:
                         # The pool broke between the failure and the retry.
-                        self._pool_broken = True
                         self._finish(
                             job,
                             None,

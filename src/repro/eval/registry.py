@@ -7,9 +7,8 @@ CLI (``python -m repro``) and benchmark harness all discover it through the
 shared :data:`REGISTRY`.
 
 A registered experiment carries a name, free-form tags, a ``cost`` class
-(one of :data:`COST_CLASSES` — the scheduler's static prior when no timing
-history exists; see :mod:`repro.eval.cost`), and
-a parameter schema introspected from the ``run`` signature. Execution pairs
+(one of :data:`COST_CLASSES` — the orchestrator's execution order), and a
+parameter schema introspected from the ``run`` signature. Execution pairs
 the decorated function with a renderer resolved lazily from the same module
 (by attribute name), so a module's natural ``run()`` / ``render()`` layout
 registers without reordering its definitions.
@@ -21,7 +20,6 @@ import dataclasses
 import importlib
 import inspect
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -52,9 +50,9 @@ PAPER_TAG = "paper"
 #: Tag carried by the parameterized off-design-point scenario experiments.
 SCENARIO_TAG = "scenario"
 
-#: Accepted ``cost`` classes, cheapest first. The class is only a static
-#: prior: once an experiment has journal/manifest history, the learned
-#: cost model (``repro.eval.cost``) predicts from recorded seconds.
+#: Accepted ``cost`` classes, cheapest first. The orchestrator starts
+#: pending runs in the reverse order (slow > medium > fast, request order
+#: within a class) so the pool's tail is short.
 COST_CLASSES = ("fast", "medium", "slow")
 
 #: Annotation string -> accepted runtime types for simple scalar params
@@ -200,7 +198,6 @@ class ExperimentRegistry:
         self._specs: Dict[str, ExperimentSpec] = {}
         self._sequence: Dict[str, int] = {}
         self._loaded = False
-        self._load_lock = threading.Lock()
 
     def _order_key(self, spec: ExperimentSpec) -> Tuple[int, int]:
         try:
@@ -230,27 +227,19 @@ class ExperimentRegistry:
 
         A module that is already imported but has no specs here (the
         registry was cleared) is reloaded so its decorators re-register.
-        Thread-safe: concurrent first callers (serve handler threads
-        validating submissions) serialize on one load instead of racing
-        a reload into duplicate registrations.
         """
         if self._loaded:
             return self
-        with self._load_lock:
-            if self._loaded:
-                return self
-            registered = {spec.module for spec in self._specs.values()}
-            for module in EXPERIMENT_MODULES:
-                needs_rerun = (
-                    self is REGISTRY
-                    and module in sys.modules
-                    and module not in registered
-                )
-                if needs_rerun:
-                    importlib.reload(sys.modules[module])
-                else:
-                    importlib.import_module(module)
-            self._loaded = True
+        registered = {spec.module for spec in self._specs.values()}
+        for module in EXPERIMENT_MODULES:
+            needs_rerun = (
+                self is REGISTRY and module in sys.modules and module not in registered
+            )
+            if needs_rerun:
+                importlib.reload(sys.modules[module])
+            else:
+                importlib.import_module(module)
+        self._loaded = True
         return self
 
     def get(self, name: str) -> ExperimentSpec:

@@ -48,8 +48,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.eval import cache as result_cache
-from repro.eval import schedule as schedule_mod
-from repro.eval.cost import CostModel
 from repro.eval.journal import (
     JOURNAL_SCHEMA,
     JournalView,
@@ -82,15 +80,6 @@ _SWEEP_REFRESH_HINT = "Re-run the sweep (`python -m repro sweep run <name>`)."
 MODE_GRID = "grid"
 MODE_ZIP = "zip"
 MODES = (MODE_GRID, MODE_ZIP)
-
-#: Shard-partition strategies for ``sweep run``. Round-robin is the
-#: default because it is a pure function of the expansion order — every
-#: machine computes the same slices with no shared state. ``cost``
-#: partitions by predicted seconds (see :mod:`repro.eval.schedule`) and
-#: is only deterministic for a fixed results-tree history.
-BALANCE_ROUND_ROBIN = "round-robin"
-BALANCE_COST = "cost"
-BALANCES = (BALANCE_ROUND_ROBIN, BALANCE_COST)
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
@@ -194,34 +183,6 @@ def shard_points(points: Sequence[SweepPoint], shard: Optional[Shard]) -> List[S
     if shard is None:
         return list(points)
     return [p for p in points if p.index % shard.count == shard.index - 1]
-
-
-def shard_points_cost(
-    points: Sequence[SweepPoint],
-    shard: Optional[Shard],
-    spec: SweepSpec,
-    model: CostModel,
-) -> List[SweepPoint]:
-    """Cost-balanced partition: shard ``K`` is slot ``K-1`` of the solve.
-
-    The solver bin-packs the whole matrix onto ``count`` slots by
-    predicted seconds (never worse than round-robin — see
-    :func:`repro.eval.schedule.solve_assignment`), so a skewed matrix
-    stops putting all its slow points on one machine. Matrix order is
-    preserved within each shard. The slices are still disjoint and
-    complete, so ``sweep merge`` consolidates them unchanged — but they
-    are only reproducible against the *same* learned history, which is
-    why round-robin stays the default.
-    """
-    if shard is None:
-        return list(points)
-    cost_class = REGISTRY.get(spec.experiment).cost
-    costs = [
-        model.predict(spec.experiment, p.params, cost_class=cost_class).seconds
-        for p in points
-    ]
-    assignment = schedule_mod.solve_assignment(costs, shard.count)
-    return [p for p, slot in zip(points, assignment) if slot == shard.index - 1]
 
 
 # -- spec construction --------------------------------------------------------
@@ -850,7 +811,6 @@ def _journal_header(
     quick: bool,
     limit: Optional[int],
     digest: str,
-    balance: str = BALANCE_ROUND_ROBIN,
 ) -> dict:
     return {
         "sweep": spec.name,
@@ -860,7 +820,6 @@ def _journal_header(
         "quick": quick,
         "limit": limit,
         "shard": shard.as_dict() if shard else None,
-        "balance": balance,
         "source_digest": digest,
         "n_points": len(points),
         "labels": [point_label(spec.name, p.point_id) for p in points],
@@ -874,11 +833,18 @@ def _check_resume_header(
     shard: Optional[Shard],
     quick: bool,
     limit: Optional[int],
-    balance: str = BALANCE_ROUND_ROBIN,
 ) -> None:
     """A resumed run must continue the *same* matrix the journal began."""
     if header is None:
         return  # crashed before the header line was durable: fresh start
+    if header.get("balance", "round-robin") != "round-robin":
+        # Journals from the retired ``--balance cost`` option hold a shard
+        # slice partitioned by predicted seconds, not round-robin.
+        raise ConfigError(
+            "--resume cannot continue a journal whose shard slice was "
+            f"partitioned with balance={header['balance']!r}; run without "
+            "--resume to start the sweep over"
+        )
     expected = {
         "sweep": spec.name,
         "experiment": spec.experiment,
@@ -887,11 +853,7 @@ def _check_resume_header(
         "quick": quick,
         "limit": limit,
         "shard": shard.as_dict() if shard else None,
-        # Journals from before the balance knob existed are round-robin.
-        "balance": balance,
     }
-    header = dict(header)
-    header.setdefault("balance", BALANCE_ROUND_ROBIN)
     mismatched = {
         name: (header.get(name), value)
         for name, value in expected.items()
@@ -919,8 +881,6 @@ def run_sweep(
     shard: Optional[Shard] = None,
     resume: bool = False,
     retries: int = 0,
-    orchestrator: Optional[Orchestrator] = None,
-    balance: str = BALANCE_ROUND_ROBIN,
 ) -> SweepResult:
     """Expand ``spec`` and run every point through the orchestrator.
 
@@ -935,38 +895,17 @@ def run_sweep(
     :func:`merge_shards`); ``resume`` replays the journal plus the result
     cache and schedules only incomplete points; ``retries`` bounds
     re-execution of flaky points before they are quarantined.
-
-    ``orchestrator`` is the service (sweep-as-job) entry: pass a live
-    :class:`Orchestrator` — typically one holding a persistent worker
-    pool — and the sweep is scheduled on it instead of a throwaway
-    instance. Its ``jobs``/``use_cache`` settings take precedence over
-    the same-named arguments here; its ``run_seed`` is set to the spec's
-    seed so cache keys and resume planning stay consistent.
-
-    ``balance="cost"`` partitions shards and plans execution by predicted
-    seconds from the learned cost model instead of round-robin, and emits
-    the solved plan as ``schedule.json`` next to the journal (predicted
-    per-slot assignment before the run, actual seconds filled in after).
     """
     if retries < 0:
         raise ConfigError(f"retries must be >= 0, got {retries}")
-    if balance not in BALANCES:
-        raise ConfigError(f"balance must be one of {BALANCES}, got {balance!r}")
-    if orchestrator is not None:
-        orchestrator.run_seed = spec.seed
-        use_cache = orchestrator.use_cache
     if resume and not use_cache:
         raise ConfigError(
             "--resume replays completed points from the result cache; "
             "it cannot be combined with --no-cache"
         )
+    orchestrator = Orchestrator(jobs=jobs, use_cache=use_cache, run_seed=spec.seed, verbose=verbose)
     all_points = expand(spec, quick=quick, limit=limit)
-    cost_model: Optional[CostModel] = None
-    if balance == BALANCE_COST:
-        cost_model = CostModel.from_results()
-        points = shard_points_cost(all_points, shard, spec, cost_model)
-    else:
-        points = shard_points(all_points, shard)
+    points = shard_points(all_points, shard)
     out_dir = sweep_dir(spec.name, shard)
     os.makedirs(out_dir, exist_ok=True)
     journal_path = os.path.join(out_dir, "journal.jsonl")
@@ -975,16 +914,7 @@ def run_sweep(
     replay_failed: Dict[str, PointRecord] = {}
     if resume:
         view = read_journal(journal_path)
-        _check_resume_header(view.header, spec, shard, quick, limit, balance)
-        if balance == BALANCE_COST and view.header is not None:
-            want = [point_label(spec.name, p.point_id) for p in points]
-            if view.header.get("labels") != want:
-                raise ConfigError(
-                    "--resume with --balance cost: the learned cost history has "
-                    "changed since this journal was started, so the cost-balanced "
-                    "shard slice no longer matches; re-run without --resume "
-                    "(or with the default round-robin balance)"
-                )
+        _check_resume_header(view.header, spec, shard, quick, limit)
         prior_attempts, replay_failed = plan_resume(
             view, expected_keys(spec, points, digest), retries
         )
@@ -992,7 +922,7 @@ def run_sweep(
     else:
         journal = RunJournal.start(
             journal_path,
-            _journal_header(spec, points, shard, quick, limit, digest, balance),
+            _journal_header(spec, points, shard, quick, limit, digest),
         )
     requests = [
         PointRequest(
@@ -1002,44 +932,6 @@ def run_sweep(
         )
         for point in points
     ]
-    if orchestrator is None:
-        orchestrator = Orchestrator(
-            jobs=jobs,
-            use_cache=use_cache,
-            run_seed=spec.seed,
-            verbose=verbose,
-            cost_model=cost_model,
-        )
-    schedule_doc: Optional[dict] = None
-    schedule_path = os.path.join(out_dir, "schedule.json")
-    if cost_model is not None:
-        tasks = [
-            schedule_mod.PointTask(
-                label=point_label(spec.name, p.point_id),
-                experiment=spec.experiment,
-                point=p.point_id,
-                params=p.params,
-            )
-            for p in points
-        ]
-        plan = schedule_mod.plan(
-            tasks,
-            cost_model,
-            orchestrator.jobs,
-            sweep=spec.name,
-            experiment=spec.experiment,
-            quick=quick,
-            limit=limit,
-        )
-        schedule_doc = plan.document()
-        schedule_mod.write_schedule(schedule_path, schedule_doc)
-        if verbose:
-            print(
-                f"schedule: {schedule_path} (predicted makespan "
-                f"{plan.predicted_makespan():.1f}s vs round-robin "
-                f"{plan.baseline_makespan():.1f}s on {plan.slots} slot(s))",
-                flush=True,
-            )
     report = orchestrator.run_points(
         requests,
         write_manifest=True,
@@ -1049,13 +941,6 @@ def run_sweep(
         prior_attempts=prior_attempts,
         replay_failed=replay_failed,
     )
-    if schedule_doc is not None:
-        elapsed = {
-            run.name: run.elapsed_s
-            for run in report.runs
-            if run.status in (STATUS_EXECUTED, STATUS_CACHED)
-        }
-        schedule_mod.write_schedule(schedule_path, schedule_mod.fill_actuals(schedule_doc, elapsed))
     result = SweepResult(
         spec=spec,
         points=points,
@@ -1084,9 +969,7 @@ def _uniform(docs: List[dict], key: str, context: str) -> Any:
     return docs[0].get(key)
 
 
-def merge_shards(
-    spec: SweepSpec, verbose: bool = True, expect_count: Optional[int] = None
-) -> Tuple[dict, str, str]:
+def merge_shards(spec: SweepSpec, verbose: bool = True) -> Tuple[dict, str, str]:
     """Consolidate per-shard runs into the single ``sweep.json`` + CSV.
 
     Reads every ``shards/*/sweep.json`` under the sweep's output tree,
@@ -1094,11 +977,6 @@ def merge_shards(
     source digest, disjoint points) and together cover the full expanded
     matrix, then writes the consolidated document exactly where an
     unsharded run would have: ``results/sweeps/<name>/``.
-
-    ``expect_count`` pins the shard width the caller fanned out (the
-    serve layer's merge step passes its child count) so a stale shard
-    tree from an earlier, differently-sized run is refused instead of
-    silently merged.
     """
     base = sweep_dir(spec.name)
     shards_root = os.path.join(base, "shards")
@@ -1137,11 +1015,6 @@ def merge_shards(
     if len(counts) != 1:
         raise ConfigError(f"{context}: mixed shard counts {sorted(counts)}")
     count = counts.pop()
-    if expect_count is not None and count != expect_count:
-        raise ConfigError(
-            f"{context}: expected a {expect_count}-way shard tree, found {count}-way; "
-            "a stale tree from an earlier run is in the way"
-        )
     indices = sorted(doc["shard"]["index"] for doc in docs)
     if indices != list(range(1, count + 1)):
         missing = sorted(set(range(1, count + 1)) - set(indices))

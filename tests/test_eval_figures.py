@@ -75,6 +75,26 @@ class TestAblations:
         row = entmf_disabled(iterations=2)
         assert row.hit_in_late == 0.0
 
+    @pytest.mark.parametrize(
+        "name, n_rows",
+        [
+            ("ablation_capacity", 5),
+            ("ablation_replacement", 2),
+            ("ablation_merge_window", 4),
+            ("ablation_entmf", 1),
+        ],
+    )
+    def test_ablation_renders_every_row(self, name, n_rows):
+        from repro.eval.registry import REGISTRY
+
+        output = REGISTRY.get(name).execute(iterations=2)
+        rows = output.result if isinstance(output.result, list) else [output.result]
+        assert len(rows) == n_rows
+        assert output.text.startswith("Ablation — ")
+        for row in rows:
+            assert 0.0 <= row.hit_in_early <= 1.0 and 0.0 <= row.hit_in_late <= 1.0
+            assert row.label in output.text
+
     def test_capacity_rows_labelled(self):
         from repro.eval.ablations import AblationRow, render
 

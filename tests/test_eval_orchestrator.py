@@ -8,7 +8,7 @@ import pytest
 from repro.core.results import StageBreakdown
 from repro.errors import ConfigError
 from repro.eval import cache as result_cache
-from repro.eval.orchestrator import Orchestrator, derive_seed
+from repro.eval.orchestrator import Orchestrator, PointRequest, derive_seed
 from repro.eval.registry import (
     EXPERIMENT_MODULES,
     PAPER_TAG,
@@ -226,11 +226,10 @@ class TestOrchestrator:
         assert "kaput" in result.runs[0].error
 
     def test_cost_class_ordering_slow_medium_fast(self, results_env):
-        # Regression for the binary (cost != "slow") sort: with no recorded
-        # history the static fallback must order slow > medium > fast, not
-        # leave "medium" tied with "fast" at the pool's tail.
-        from repro.eval.cost import CostModel
-
+        # Regression for the binary (cost != "slow") sort: pending runs
+        # start slow > medium > fast, not with "medium" tied with "fast"
+        # at the pool's tail; request order holds within a class, and the
+        # report keeps request order whatever the execution order.
         executed = []
         registry = ExperimentRegistry()
 
@@ -241,50 +240,34 @@ class TestOrchestrator:
 
             return run
 
-        names = [("ord-fast", "fast"), ("ord-medium", "medium"), ("ord-slow", "slow")]
+        names = [
+            ("ord-fast-a", "fast"),
+            ("ord-medium", "medium"),
+            ("ord-slow-a", "slow"),
+            ("ord-fast-b", "fast"),
+            ("ord-slow-b", "slow"),
+        ]
         for name, cost in names:
             experiment(name, cost=cost, render=None, registry=registry)(make(name))
             REGISTRY._specs[name] = registry._specs[name]
         try:
-            report = Orchestrator(
-                jobs=1, use_cache=False, verbose=False, cost_model=CostModel()
-            ).run(only=[name for name, _ in names], write_manifest=False)
+            report = Orchestrator(jobs=1, use_cache=False, verbose=False).run_points(
+                [PointRequest(experiment=name) for name, _ in names], write_manifest=False
+            )
         finally:
             for name, _ in names:
                 del REGISTRY._specs[name]
         assert report.ok
-        assert executed == ["ord-slow", "ord-medium", "ord-fast"]
+        assert executed == ["ord-slow-a", "ord-slow-b", "ord-medium", "ord-fast-a", "ord-fast-b"]
+        assert [r.name for r in report.runs] == [name for name, _ in names]
 
-    def test_learned_history_overrides_static_cost_class(self, results_env):
-        # A "fast"-classed experiment with recorded long runtimes must
-        # schedule ahead of a history-free "slow" one.
-        from repro.eval.cost import CostModel
+    @pytest.mark.parametrize("jobs", [0, -1, -3])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            Orchestrator(jobs=jobs, verbose=False)
 
-        executed = []
-        registry = ExperimentRegistry()
-
-        def make(name):
-            def run() -> str:
-                executed.append(name)
-                return name
-
-            return run
-
-        names = [("hist-fast", "fast"), ("hist-slow", "slow")]
-        for name, cost in names:
-            experiment(name, cost=cost, render=None, registry=registry)(make(name))
-            REGISTRY._specs[name] = registry._specs[name]
-        model = CostModel()
-        model.observe("hist-fast", {}, 120.0)
-        try:
-            report = Orchestrator(
-                jobs=1, use_cache=False, verbose=False, cost_model=model
-            ).run(only=[name for name, _ in names], write_manifest=False)
-        finally:
-            for name, _ in names:
-                del REGISTRY._specs[name]
-        assert report.ok
-        assert executed == ["hist-fast", "hist-slow"]
+    def test_jobs_none_means_cpu_count(self):
+        assert Orchestrator(jobs=None, verbose=False).jobs == (os.cpu_count() or 1)
 
     def test_unmatched_param_override_rejected(self, results_env):
         with pytest.raises(ConfigError, match="not in this run"):
@@ -364,6 +347,18 @@ class TestCli:
 
         assert main(["run", "--only", "nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command", [["run", "--only", "table1_config"], ["sweep", "run", "mac_policy"]]
+    )
+    def test_nonpositive_jobs_exits_2(self, results_env, capsys, command, jobs):
+        from repro.cli import main
+
+        assert main(command + ["--jobs", jobs, "--quiet"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(results_env / "table1_config.txt")
+        assert not os.path.exists(results_env / "sweeps")
 
     def test_clean_removes_artifacts(self, results_env, capsys):
         from repro.cli import main

@@ -496,6 +496,30 @@ class TestScenarioExperiments:
             for ways in axes["ways"]:
                 assert run(capacity_kib=capacity_kib, ways=ways, iterations=1).ways == ways
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("scale_npu_pipeline", {"batch_size": 4, "seq_len": 256}),
+            ("mee_cache_geometry", {"tensors": 8, "lines_per_tensor": 8, "iterations": 2}),
+            ("mac_policy", {"granule_bytes": 64, "policy": "delayed"}),
+            ("attention_layout", {"seq_len": 64}),
+            ("attention_layout", {"layout": "interleaved", "seq_len": 64, "stride_detect": True}),
+            ("stride_detection", {"rows": 32}),
+            ("stride_detection", {"rows": 32, "stride_lines": 2, "detect": False}),
+        ],
+    )
+    def test_scenario_renders_and_summarizes(self, name, params):
+        # Sweeps run these in pool workers; this drives run, render and the
+        # metrics summary in-process at small sizes.
+        output = REGISTRY.get(name).execute(**params)
+        assert output.text.startswith("Scenario — ")
+        summary = output.summary()
+        assert summary == output.result.as_dict()
+        assert json.loads(json.dumps(summary)) == summary
+        for param, value in params.items():
+            if param in summary:
+                assert summary[param] == value
+
     def test_mac_policy_bad_policy_rejected(self):
         with pytest.raises(ConfigError, match="unknown policy"):
             REGISTRY.get("mac_policy").func(policy="lazy")
@@ -593,6 +617,49 @@ class TestCli:
         assert main(["sweep", "show", "mini"]) == 0
         out = capsys.readouterr().out
         assert "policy=eager" in out and "policy=delayed" in out
+
+    def test_text_listings_and_show_json(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        assert main(["list", "--tag", "ablation"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("(ablation,cpu)") == 4 and "ablation_capacity" in out
+        assert "[slow]" in out and "[fast]" in out
+
+        monkeypatch.setenv("REPRO_SWEEPS_DIR", str(tmp_path))
+        assert main(["sweep", "list"]) == 0
+        assert "no sweep specs under" in capsys.readouterr().out
+        write_toml(
+            tmp_path / "mini.toml",
+            """
+            [sweep]
+            name = "mini"
+            experiment = "mac_policy"
+
+            [[sweep.axes]]
+            param = "policy"
+            values = ["eager", "delayed"]
+            """,
+        )
+        assert main(["sweep", "list"]) == 0
+        assert "mini  mac_policy [grid] 2 points" in capsys.readouterr().out
+        assert main(["sweep", "show", "mini", "--json"]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["sweep"] == "mini" and shown["experiment"] == "mac_policy"
+        assert [p["coords"] for p in shown["points"]] == [{"policy": "eager"}, {"policy": "delayed"}]
+
+    def test_digest_unreadable_or_empty_file_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        missing = str(tmp_path / "missing.json")
+        assert main(["digest", "--check", missing]) == 2
+        assert "cannot read digest file" in capsys.readouterr().err
+        assert main(["digest", "--update", missing]) == 2
+        assert "--only NAME" in capsys.readouterr().err
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"schema": 1, "experiments": {}}))
+        assert main(["digest", "--check", str(empty)]) == 2
+        assert "records no experiments" in capsys.readouterr().err
 
     def test_sweep_unknown_spec_exits_2(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main

@@ -77,6 +77,15 @@ def results_env(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def sweeps_env(tmp_path, monkeypatch):
+    root = tmp_path / "sweep-specs"
+    root.mkdir()
+    (root / "m22.toml").write_text(MAC_2X2_TOML)
+    monkeypatch.setenv("REPRO_SWEEPS_DIR", str(root))
+    return root
+
+
+@pytest.fixture
 def temp_experiment():
     """Inject a throwaway experiment into the global registry."""
     injected = []
@@ -125,6 +134,21 @@ class TestJournalFile:
         assert view.last_by_label() == {"p/a": a, "p/b": b}
         assert view.failed_attempts("p/b", "k2") == 2
         assert view.failed_attempts("p/b", "other-key") == 0
+
+    def test_queue_job_lines_are_skipped(self, tmp_path):
+        # Journals written by the retired job queue interleave ``job``
+        # lines; the reader skips them instead of failing.
+        path = str(tmp_path / "j.jsonl")
+        journal = RunJournal.start(path, {"sweep": "s"})
+        record = PointRecord(label="p", experiment="e", key="k", seed=0,
+                             status="executed")
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(json.dumps({"kind": "job", "schema": 1, "job_id": "j1",
+                                "task": "sweep", "status": "submitted"}) + "\n")
+        journal.append(record)
+        view = read_journal(path)
+        assert view.records == [record]
+        assert not view.truncated and view.malformed == 0
 
     def test_torn_tail_is_tolerated(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -408,6 +432,44 @@ class TestResume:
         with pytest.raises(ConfigError, match="does not match the journal"):
             run_sweep(spec, jobs=1, verbose=False, resume=True, quick=True)
 
+    @staticmethod
+    def _rewrite_header(path, **changes):
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        header = json.loads(lines[0])
+        assert header["kind"] == "header"
+        for key, value in changes.items():
+            if value is None:
+                header.pop(key, None)
+            else:
+                header[key] = value
+        lines[0] = json.dumps(header, sort_keys=True)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+
+    def test_new_journal_header_has_no_balance_key(self, results_env):
+        result = run_sweep(spec_from_dict(MAC_2X2), jobs=1, verbose=False,
+                           shard=Shard(1, 2))
+        header = read_journal(os.path.join(result.out_dir, "journal.jsonl")).header
+        assert "balance" not in header
+
+    def test_resume_rejects_cost_balanced_journal(self, results_env):
+        # A ``"balance": "cost"`` header means the shard slice was cost
+        # partitioned, so it is not this run's round-robin slice.
+        spec = spec_from_dict(MAC_2X2)
+        first = run_sweep(spec, jobs=1, verbose=False, shard=Shard(1, 2))
+        self._rewrite_header(os.path.join(first.out_dir, "journal.jsonl"), balance="cost")
+        with pytest.raises(ConfigError, match="balance='cost'"):
+            run_sweep(spec, jobs=1, verbose=False, shard=Shard(1, 2), resume=True)
+
+    @pytest.mark.parametrize("balance", ["round-robin", None])
+    def test_resume_accepts_round_robin_journal(self, results_env, balance):
+        spec = spec_from_dict(MAC_2X2)
+        first = run_sweep(spec, jobs=1, verbose=False, shard=Shard(1, 2))
+        self._rewrite_header(os.path.join(first.out_dir, "journal.jsonl"), balance=balance)
+        resumed = run_sweep(spec, jobs=1, verbose=False, shard=Shard(1, 2), resume=True)
+        assert resumed.report.counts() == {"executed": 0, "cached": 2, "failed": 0}
+
     def test_resume_skips_quarantined_points(self, results_env):
         # One point fails at execute time; a default resume must replay the
         # recorded failure instead of re-running it, while completed points
@@ -621,6 +683,24 @@ class TestCli:
         assert "fig16_overall" not in out  # the subset really subsets
         assert main(["digest", "--check", path, "--only", "nope"]) == 2
         assert "not in" in capsys.readouterr().err
+
+
+class TestSweepStatusNoJournal:
+    def test_exit_3_with_distinct_message(self, results_env, capsys):
+        from repro.cli import EXIT_NO_JOURNAL, main
+
+        code = main(["sweep", "status", "mee_geometry"])
+        assert code == EXIT_NO_JOURNAL == 3
+        err = capsys.readouterr().err
+        assert "no run journal found" in err and "has never run" in err
+
+    def test_incomplete_sweep_still_exits_1(self, results_env, sweeps_env, capsys):
+        from repro.cli import main
+
+        assert main(["sweep", "run", "m22", "--shard", "1/2", "--quiet", "--jobs", "1"]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "status", "m22"]) == 1  # pending points, not exit 3
+        assert "pending" in capsys.readouterr().out
 
 
 class TestDigestFile:

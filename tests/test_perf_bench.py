@@ -287,6 +287,21 @@ class TestBenchRegistry:
         crypto = BENCH_REGISTRY.select(tags=["crypto"])
         assert crypto and all("crypto" in s.tags for s in crypto)
 
+    @pytest.mark.parametrize("name", [spec.name for spec in BENCH_REGISTRY.specs()])
+    def test_every_benchmark_runs_in_each_mode(self, name):
+        # One quick call per mode, built the way the harness builds it, so
+        # a broken factory or scalar path fails here rather than in CI's
+        # bench lane.
+        spec = BENCH_REGISTRY.get(name)
+        for scalar in ([False, True] if spec.paired else [False]):
+            context = BenchContext(quick=True)
+            if scalar:
+                with vec.scalar_fallback():
+                    spec.factory(context)()
+            else:
+                spec.factory(context)()
+            assert context.items > 0
+
     def test_clear_then_load_all_re_registers(self):
         before = {s.name for s in BENCH_REGISTRY.specs()}
         try:
