@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro {run,list,clean,bench,sweep,digest}``.
+"""CLI: ``python -m repro {run,list,clean,bench,sweep,digest,serve,worker,jobs}``.
 
 Examples::
 
@@ -17,9 +17,15 @@ Examples::
     python -m repro sweep merge npu_scaling
     python -m repro sweep status npu_scaling
     python -m repro digest --check benchmarks/artifact_digests.json
+    python -m repro serve --port 8765 --workers 4
+    python -m repro serve --external-only --autosplit 3
+    python -m repro worker --server 127.0.0.1:8765 --lease-ttl 60 --once
+    python -m repro jobs submit experiment fig16_overall --wait
+    python -m repro jobs submit sweep mee_geometry --quick --shards 3
+    python -m repro jobs status <id> / wait <id> / result <id> / cancel <id> / list
 
-See EXPERIMENTS.md for the experiment catalogue, the sweep-spec format
-and the bench JSON schema.
+See EXPERIMENTS.md for the experiment catalogue, the sweep-spec format,
+the bench JSON schema, and the service wire schema.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ServiceError
 from repro.eval.orchestrator import Orchestrator, _execute_one, clean, derive_seed
 from repro.eval.registry import REGISTRY
 
@@ -199,6 +205,176 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_status.add_argument(
         "--json", action="store_true", help="machine-readable status"
     )
+
+    serve = sub.add_parser(
+        "serve", help="persistent job-queue service over the orchestrator"
+    )
+    serve.add_argument("--host", default=None, help="bind address (default: 127.0.0.1)")
+    serve.add_argument("--port", type=int, default=None, help="bind port (default: 8765)")
+    serve.add_argument(
+        "--workers", "-w", type=int, default=None,
+        help="pool worker processes (default: CPU count; 1 = in-process)",
+    )
+    serve.add_argument(
+        "--queue-dir", default=None, metavar="DIR",
+        help="queue directory (default: <results>/queue)",
+    )
+    serve.add_argument(
+        "--once", action="store_true",
+        help="exit once at least one job was submitted and the queue has "
+        "drained (headless CI mode)",
+    )
+    serve.add_argument(
+        "--grace", type=float, default=5.0, metavar="SECONDS",
+        help="idle time after the last request before --once exits (default: 5)",
+    )
+    serve.add_argument(
+        "--external-only", action="store_true",
+        help="never execute jobs in-process; only `repro worker` processes "
+        "drain the queue (the server still merges sweep fan-outs)",
+    )
+    serve.add_argument(
+        "--autosplit", type=int, default=1, metavar="N",
+        help="fan sweep submissions out into N shard jobs by default "
+        "(clamped to the matrix size; default: 1 = no fan-out)",
+    )
+    serve.add_argument("--quiet", "-q", action="store_true", help="no request/job lines")
+
+    worker = sub.add_parser(
+        "worker", help="remote executor: claim jobs from a `repro serve` queue"
+    )
+    worker.add_argument(
+        "--server", default=None, metavar="HOST:PORT",
+        help="serve endpoint to pull from (default: 127.0.0.1:8765)",
+    )
+    worker.add_argument(
+        "--lease-ttl", type=float, default=None, metavar="SECONDS",
+        help="lease length per claim; heartbeats renew it (default: 60)",
+    )
+    worker.add_argument(
+        "--tags", action="append", default=[], metavar="TAG[,TAG...]",
+        help="capabilities this worker offers (claims only jobs it covers)",
+    )
+    worker.add_argument(
+        "--jobs", "-j", type=int, default=None,
+        help="worker pool processes (default: CPU count; 1 = in-process serial)",
+    )
+    worker.add_argument(
+        "--once", action="store_true",
+        help="exit once a claim comes back empty and nothing is outstanding "
+        "(fleet drain mode for CI)",
+    )
+    worker.add_argument(
+        "--poll", type=float, default=0.2, metavar="SECONDS",
+        help="nap between empty claims (default: 0.2)",
+    )
+    worker.add_argument(
+        "--id", default=None, metavar="NAME",
+        help="worker identity in leases and logs (default: <hostname>-<pid>)",
+    )
+    worker.add_argument("--quiet", "-q", action="store_true", help="no per-job lines")
+
+    jobs = sub.add_parser("jobs", help="client for a running `repro serve`")
+    jobs_sub = jobs.add_subparsers(dest="jobs_command", required=True)
+
+    def client_flags(sub_parser: argparse.ArgumentParser) -> None:
+        sub_parser.add_argument("--host", default=None, help="server address (default: 127.0.0.1)")
+        sub_parser.add_argument("--port", type=int, default=None, help="server port (default: 8765)")
+        sub_parser.add_argument("--json", action="store_true", help="machine-readable output")
+
+    jobs_submit = jobs_sub.add_parser("submit", help="submit an experiment/sweep/bench job")
+    jobs_submit.add_argument(
+        "task",
+        nargs="?",
+        default=None,
+        choices=("experiment", "sweep", "bench"),
+        help="what kind of work to enqueue (omit with --batch-file)",
+    )
+    jobs_submit.add_argument(
+        "target", nargs="?", default=None,
+        help="experiment name or sweep spec (bench takes no target)",
+    )
+    jobs_submit.add_argument(
+        "--params", metavar="JSON", default=None,
+        help="experiment keyword overrides as a JSON object",
+    )
+    jobs_submit.add_argument("--seed", type=int, default=0, help="experiment run seed")
+    jobs_submit.add_argument(
+        "--quick", action="store_true", help="sweep/bench smoke shape (CI sizes)"
+    )
+    jobs_submit.add_argument(
+        "--limit", type=int, default=None, metavar="N", help="cap a sweep matrix at N points"
+    )
+    jobs_submit.add_argument(
+        "--only",
+        action="append",
+        default=[],
+        metavar="NAME[,NAME...]",
+        help="bench: run only these benchmarks",
+    )
+    jobs_submit.add_argument(
+        "--shards", type=int, default=None, metavar="N",
+        help="sweep: fan out into N shard jobs a worker fleet work-steals",
+    )
+    jobs_submit.add_argument(
+        "--shard", metavar="K/N", default=None,
+        help="sweep: submit only slice K of N (see `sweep run --shard`)",
+    )
+    jobs_submit.add_argument(
+        "--priority", type=int, default=0, help="higher runs first (default: 0)"
+    )
+    jobs_submit.add_argument(
+        "--wait", action="store_true", help="block until the job is terminal"
+    )
+    jobs_submit.add_argument(
+        "--timeout", type=float, default=600.0, metavar="SECONDS",
+        help="--wait deadline (default: 600)",
+    )
+    jobs_submit.add_argument(
+        "--batch-file", metavar="FILE", default=None,
+        help="submit every submission in FILE (a JSON array, or JSONL with "
+        "one submission object per line) in a single batch round trip",
+    )
+    client_flags(jobs_submit)
+
+    jobs_status = jobs_sub.add_parser("status", help="job status (and failure traceback)")
+    jobs_status.add_argument(
+        "id", nargs="*", default=[],
+        help="job id(s) from `jobs submit`; several ids go out as one "
+        "status batch round trip",
+    )
+    jobs_status.add_argument(
+        "--all", action="store_true",
+        help="every job the server knows, one round trip",
+    )
+    client_flags(jobs_status)
+
+    jobs_wait = jobs_sub.add_parser("wait", help="block until a job is terminal")
+    jobs_wait.add_argument("id", help="job id from `jobs submit`")
+    jobs_wait.add_argument(
+        "--timeout", type=float, default=600.0, metavar="SECONDS",
+        help="give up (exit 2) after this long (default: 600)",
+    )
+    jobs_wait.add_argument(
+        "--interval", type=float, default=0.2, metavar="SECONDS",
+        help="poll interval (default: 0.2)",
+    )
+    client_flags(jobs_wait)
+
+    jobs_result = jobs_sub.add_parser("result", help="a finished job's result payload")
+    jobs_result.add_argument("id", help="job id from `jobs submit`")
+    jobs_result.add_argument(
+        "--text", action="store_true",
+        help="print only the rendered artifact text (experiment jobs)",
+    )
+    client_flags(jobs_result)
+
+    jobs_cancel = jobs_sub.add_parser("cancel", help="cancel a still-queued job")
+    jobs_cancel.add_argument("id", help="job id from `jobs submit`")
+    client_flags(jobs_cancel)
+
+    jobs_list = jobs_sub.add_parser("list", help="every job the server knows about")
+    client_flags(jobs_list)
 
     digest = sub.add_parser(
         "digest", help="SHA-256 digests of rendered artifacts (CI drift tripwire)"
@@ -468,6 +644,294 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serve import schema as serve_schema
+    from repro.serve.server import build_service
+
+    if args.host is None:
+        args.host = serve_schema.DEFAULT_HOST
+    if args.port is None:
+        args.port = serve_schema.DEFAULT_PORT
+    if args.grace < 0:
+        raise ConfigError(f"--grace must be >= 0, got {args.grace}")
+    return build_service(args).run()
+
+
+def cmd_worker(args: argparse.Namespace) -> int:
+    from repro.serve import schema as serve_schema
+    from repro.serve.worker import build_worker
+
+    if args.server is None:
+        args.server = f"{serve_schema.DEFAULT_HOST}:{serve_schema.DEFAULT_PORT}"
+    if args.lease_ttl is None:
+        args.lease_ttl = serve_schema.DEFAULT_LEASE_TTL
+    if args.lease_ttl <= 0:
+        raise ConfigError(f"--lease-ttl must be > 0, got {args.lease_ttl}")
+    if args.poll <= 0:
+        raise ConfigError(f"--poll must be > 0, got {args.poll}")
+    args.tags = _split_names(args.tags) or []
+    return build_worker(args).run()
+
+
+def _reject_flags(task: str, given: dict) -> None:
+    """Refuse `jobs submit` flags the chosen task would silently ignore."""
+    offending = sorted(flag for flag, used in given.items() if used)
+    if offending:
+        raise ConfigError(
+            f"jobs submit {task} does not take {', '.join(offending)}; "
+            "see `python -m repro jobs submit --help`"
+        )
+
+
+def _submission_payload(args: argparse.Namespace) -> dict:
+    """Build the wire submission from `jobs submit` arguments."""
+    payload: dict = {"task": args.task, "priority": args.priority}
+    sharding = {"--shards": args.shards is not None, "--shard": args.shard is not None}
+    if args.task == "experiment":
+        if not args.target:
+            raise ConfigError("jobs submit experiment needs an experiment name")
+        _reject_flags(
+            "experiment",
+            {
+                "--quick": args.quick,
+                "--limit": args.limit is not None,
+                "--only": bool(args.only),
+                **sharding,
+            },
+        )
+        params = {}
+        if args.params is not None:
+            try:
+                params = json.loads(args.params)
+            except ValueError as exc:
+                raise ConfigError(f"--params is not valid JSON: {exc}") from exc
+            if not isinstance(params, dict):
+                raise ConfigError(f"--params must be a JSON object, got {args.params!r}")
+        payload.update({"experiment": args.target, "params": params, "seed": args.seed})
+    elif args.task == "sweep":
+        if not args.target:
+            raise ConfigError("jobs submit sweep needs a spec name")
+        _reject_flags(
+            "sweep",
+            {
+                "--params": args.params is not None,
+                "--seed": args.seed != 0,
+                "--only": bool(args.only),
+            },
+        )
+        payload.update({"spec": args.target, "quick": args.quick, "limit": args.limit})
+        if args.shards is not None:
+            payload["shards"] = args.shards
+        if args.shard is not None:
+            payload["shard"] = args.shard
+    else:  # bench
+        if args.target:
+            raise ConfigError(
+                f"jobs submit bench takes no target (got {args.target!r}); "
+                "use --only NAME[,NAME...] to subset"
+            )
+        _reject_flags(
+            "bench",
+            {
+                "--params": args.params is not None,
+                "--seed": args.seed != 0,
+                "--limit": args.limit is not None,
+                **sharding,
+            },
+        )
+        payload.update({"quick": args.quick, "only": _split_names(args.only)})
+    return payload
+
+
+def _load_batch_file(path: str) -> list:
+    """Parse a `jobs submit --batch-file`: a JSON array, or JSONL lines."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read --batch-file {path!r}: {exc}") from exc
+    stripped = text.lstrip()
+    if not stripped:
+        raise ConfigError(f"--batch-file {path!r} is empty")
+    if stripped.startswith("["):
+        try:
+            entries = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"--batch-file {path!r} is not valid JSON: {exc}") from exc
+        if not isinstance(entries, list):
+            raise ConfigError(f"--batch-file {path!r} must hold a JSON array of submissions")
+        return entries
+    entries = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            entries.append(json.loads(line))
+        except ValueError as exc:
+            raise ConfigError(
+                f"--batch-file {path!r} line {lineno} is not valid JSON: {exc}"
+            ) from exc
+    return entries
+
+
+def _entry_is_error(view: dict) -> bool:
+    """Whether a batch answer entry is a rejection, not a job view."""
+    return "error" in view and "status" not in view
+
+
+def _submit_batch(client, args: argparse.Namespace) -> int:
+    """`jobs submit --batch-file`: one round trip for the whole file."""
+    from repro.serve import schema as serve_schema
+
+    if args.task is not None:
+        raise ConfigError(
+            "jobs submit --batch-file takes no positional task; "
+            "each file entry names its own"
+        )
+    _reject_flags(
+        "--batch-file",
+        {
+            "--params": args.params is not None,
+            "--seed": args.seed != 0,
+            "--quick": args.quick,
+            "--limit": args.limit is not None,
+            "--only": bool(args.only),
+            "--shards": args.shards is not None,
+            "--shard": args.shard is not None,
+            "--priority": args.priority != 0,
+        },
+    )
+    answer = client.submit_batch(_load_batch_file(args.batch_file))
+    if args.wait:
+        answer["jobs"] = [
+            view
+            if _entry_is_error(view) or serve_schema.view_is_terminal(view)
+            else client.wait(view["id"], timeout=args.timeout)
+            for view in answer["jobs"]
+        ]
+    rc = 0 if answer["rejected"] == 0 else 1
+    for view in answer["jobs"]:
+        if not _entry_is_error(view) and view["status"] not in ("submitted", "running", "done"):
+            rc = 1
+    if args.json:
+        json.dump(answer, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return rc
+    for index, view in enumerate(answer["jobs"]):
+        if _entry_is_error(view):
+            print(f"entry {view.get('index', index)}: error — {view['error']}", file=sys.stderr)
+        else:
+            _print_job(view, False)
+    print(f"{answer['accepted']} accepted, {answer['rejected']} rejected")
+    return rc
+
+
+def _status_batch(client, args: argparse.Namespace) -> int:
+    """`jobs status` with several ids or --all: one round trip."""
+    answer = (
+        client.status_batch(all_jobs=True) if args.all else client.status_batch(ids=args.id)
+    )
+    rc = 0
+    for view in answer["jobs"]:
+        if _entry_is_error(view):
+            rc = 2
+    if args.json:
+        json.dump(answer, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return rc
+    if not answer["jobs"]:
+        print("no jobs")
+        return rc
+    for view in answer["jobs"]:
+        if _entry_is_error(view):
+            print(f"job {view['id']}: error — {view['error']}", file=sys.stderr)
+        else:
+            _print_job(view, False)
+    return rc
+
+
+def _print_job(view: dict, as_json: bool) -> None:
+    if as_json:
+        json.dump(view, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return
+    line = (
+        f"job {view['id']}: {view['task']} [{view['status']}]"
+        f"{' (cached)' if view.get('cached') else ''}"
+    )
+    if view.get("error_type"):
+        line += f" — {view['error_type']}"
+    print(line)
+    if view.get("error"):
+        print(view["error"], end="" if str(view["error"]).endswith("\n") else "\n")
+
+
+def cmd_jobs(args: argparse.Namespace) -> int:
+    from repro.serve import schema as serve_schema
+    from repro.serve.client import ServeClient
+
+    client = ServeClient(
+        host=args.host or serve_schema.DEFAULT_HOST,
+        port=args.port or serve_schema.DEFAULT_PORT,
+    )
+    if args.jobs_command == "submit":
+        if args.batch_file is not None:
+            return _submit_batch(client, args)
+        if args.task is None:
+            raise ConfigError(
+                "jobs submit needs a task (experiment, sweep, or bench) or --batch-file"
+            )
+        view = client.submit(_submission_payload(args))
+        if args.wait and not serve_schema.view_is_terminal(view):
+            view = client.wait(view["id"], timeout=args.timeout)
+        _print_job(view, args.json)
+        return 0 if view["status"] in ("submitted", "running", "done") else 1
+    if args.jobs_command == "status":
+        if args.all and args.id:
+            raise ConfigError("jobs status takes ids or --all, not both")
+        if not args.all and not args.id:
+            raise ConfigError("jobs status needs at least one job id (or --all)")
+        if args.all or len(args.id) > 1:
+            return _status_batch(client, args)
+        _print_job(client.job(args.id[0]), args.json)
+        return 0
+    if args.jobs_command == "wait":
+        view = client.wait(args.id, timeout=args.timeout, interval=args.interval)
+        _print_job(view, args.json)
+        return 0 if view["status"] == "done" else 1
+    if args.jobs_command == "result":
+        view = client.result(args.id)
+        if args.text:
+            result = view.get("result") or {}
+            if "text" not in result:
+                raise ServiceError(f"job {args.id} has no artifact text (task {view['task']!r})")
+            sys.stdout.write(result["text"])
+            return 0 if view["status"] == "done" else 1
+        json.dump(view, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return 0 if view["status"] == "done" else 1
+    if args.jobs_command == "cancel":
+        _print_job(client.cancel(args.id), args.json)
+        return 0
+    # list
+    views = client.jobs()
+    if args.json:
+        json.dump({"jobs": views}, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return 0
+    if not views:
+        print("no jobs")
+        return 0
+    for view in views:
+        cached = " (cached)" if view.get("cached") else ""
+        print(
+            f"{view['id']}  {view['task']:<10} {view['status']:<9}"
+            f" p{view['priority']}{cached}"
+        )
+    return 0
+
+
 def artifact_digest(name: str) -> str:
     """SHA-256 of one experiment's freshly rendered artifact file bytes.
 
@@ -546,10 +1010,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "bench": cmd_bench,
         "sweep": cmd_sweep,
         "digest": cmd_digest,
+        "serve": cmd_serve,
+        "worker": cmd_worker,
+        "jobs": cmd_jobs,
     }[args.command]
     try:
         return handler(args)
-    except ConfigError as exc:
+    except (ConfigError, ServiceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,6 +32,14 @@ class SchemaVersionError(ConfigError):
         self.found = found
 
 
+class ServiceError(ReproError):
+    """A ``repro serve`` request failed (unreachable server, bad job id, ...)."""
+
+    def __init__(self, message: str, status: int = 0) -> None:
+        super().__init__(message)
+        self.status = status  #: HTTP status code when the server answered
+
+
 class SecurityError(ReproError):
     """Base class for detected attacks / violated security invariants."""
 

@@ -10,12 +10,12 @@ done/failed/pending counts from it without running anything.
 
 Layout: one JSON object per line. The first line is a ``header`` record
 describing the run (sweep name, effective matrix, shard, source digest);
-every later line is a ``point`` record or a ``resume`` marker; lines of
-any other kind (such as the ``job`` lines of older queue journals) are
-skipped. A record is only considered written once its line is flushed
-*and* fsynced, so a crash can at worst truncate the final line —
-:func:`read_journal` tolerates a torn tail and surfaces it as
-``truncated``.
+every later line is a ``point`` record or a ``resume`` marker. The
+``repro serve`` job queue reuses the same machinery with ``job`` records
+(one line per queue state transition — see :class:`JobRecord`). A record
+is only considered written once its line is flushed *and* fsynced, so a
+crash can at worst truncate the final line — :func:`read_journal`
+tolerates a torn tail and surfaces it as ``truncated``.
 
 Fault injection: when ``REPRO_JOURNAL_CRASH_AFTER=N`` is set, the
 process hard-exits (``os._exit``) immediately after the N-th point
@@ -40,6 +40,23 @@ JOURNAL_SCHEMA = 1
 KIND_HEADER = "header"
 KIND_POINT = "point"
 KIND_RESUME = "resume"
+KIND_JOB = "job"
+
+#: Lifecycle of a queued service job (``repro serve``): a submission is
+#: appended as ``submitted``, claimed as ``running``, and finished as one
+#: of the terminal statuses. The newest record per ``job_id`` wins, so the
+#: whole queue state is reconstructable from the journal alone. Lease
+#: transitions (a remote ``repro worker`` claiming, heartbeating, or
+#: losing a job) are plain ``running``/``submitted`` records carrying the
+#: ``worker``/``lease_expires_at`` fields — liveness state is journaled,
+#: never held only in server memory.
+JOB_SUBMITTED = "submitted"
+JOB_RUNNING = "running"
+JOB_DONE = "done"
+JOB_FAILED = "failed"
+JOB_CANCELLED = "cancelled"
+JOB_STATUSES = (JOB_SUBMITTED, JOB_RUNNING, JOB_DONE, JOB_FAILED, JOB_CANCELLED)
+TERMINAL_JOB_STATUSES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 
 #: Exit code of the REPRO_JOURNAL_CRASH_AFTER fault-injection hard exit.
 CRASH_EXIT_CODE = 17
@@ -81,6 +98,53 @@ class PointRecord:
         return self.status in SUCCESS_STATUSES
 
 
+@dataclass(frozen=True)
+class JobRecord:
+    """One journaled queue-job state transition (``repro serve``).
+
+    A job wraps a whole orchestrator invocation (an experiment, a sweep,
+    or a bench run) rather than a single point; ``spec`` is the canonical
+    submission payload and ``fingerprint`` its content hash under the
+    current source digest, which is what duplicate-submission cache hits
+    key on.
+    """
+
+    job_id: str
+    task: str  #: "experiment" | "sweep" | "bench"
+    status: str  #: one of JOB_STATUSES
+    spec: Dict[str, Any] = field(default_factory=dict)
+    priority: int = 0  #: higher runs first; FIFO within a priority
+    attempt: int = 0  #: 0-based execution attempt (restart recovery bumps it)
+    fingerprint: str = ""  #: content hash of (spec, source digest)
+    cached: bool = False  #: served from the result cache without executing
+    elapsed_s: float = 0.0
+    error: Optional[str] = None  #: full worker traceback on failure
+    error_type: Optional[str] = None  #: exception class name on failure
+    result: Optional[dict] = None  #: terminal payload (artifact/document/report)
+    submitted_at: float = 0.0  #: wall-clock submission time (time.time())
+    ts: float = 0.0  #: wall-clock write time of this record
+    worker: str = ""  #: id of the worker (or server) holding the job
+    lease_ttl: float = 0.0  #: lease length granted at claim (0 = no lease)
+    lease_expires_at: float = 0.0  #: wall-clock lease expiry (0 = no lease)
+    tags: List[str] = field(default_factory=list)  #: routing tags (worker capabilities)
+    parent: str = ""  #: fan-out parent job id (sweep shard jobs)
+    children: List[str] = field(default_factory=list)  #: shard job ids (fan-out parents)
+
+    def to_json(self) -> dict:
+        payload: Dict[str, Any] = {"kind": KIND_JOB, "schema": JOURNAL_SCHEMA}
+        payload.update(dataclasses.asdict(self))
+        return payload
+
+    @classmethod
+    def from_json(cls, payload: Mapping[str, Any]) -> "JobRecord":
+        names = {f.name for f in dataclasses.fields(cls)}
+        return cls(**{k: v for k, v in payload.items() if k in names})
+
+    @property
+    def terminal(self) -> bool:
+        return self.status in TERMINAL_JOB_STATUSES
+
+
 @dataclass
 class JournalView:
     """A parsed journal: header, point records in write order, markers."""
@@ -91,12 +155,20 @@ class JournalView:
     resumes: int = 0
     truncated: bool = False  #: the final line was torn by a crash
     malformed: int = 0  #: valid-JSON point lines missing required fields
+    jobs: List[JobRecord] = field(default_factory=list)  #: queue-job records
 
     def last_by_label(self) -> Dict[str, PointRecord]:
         """Latest record per point label (later lines supersede earlier)."""
         last: Dict[str, PointRecord] = {}
         for record in self.records:
             last[record.label] = record
+        return last
+
+    def last_by_job(self) -> Dict[str, JobRecord]:
+        """Latest record per job id (later lines supersede earlier)."""
+        last: Dict[str, JobRecord] = {}
+        for record in self.jobs:
+            last[record.job_id] = record
         return last
 
     def failed_attempts(self, label: str, key: str) -> int:
@@ -131,6 +203,7 @@ def read_journal(path: str) -> JournalView:
         raise ConfigError(f"no run journal at {path!r}: {exc}") from exc
     header: Optional[dict] = None
     records: List[PointRecord] = []
+    jobs: List[JobRecord] = []
     resumes = 0
     truncated = False
     malformed = 0
@@ -154,6 +227,11 @@ def read_journal(path: str) -> JournalView:
                 records.append(PointRecord.from_json(payload))
             except TypeError:
                 malformed += 1
+        elif kind == KIND_JOB:
+            try:
+                jobs.append(JobRecord.from_json(payload))
+            except TypeError:
+                malformed += 1
         elif kind == KIND_RESUME:
             resumes += 1
         # Unknown kinds are skipped for forward compatibility.
@@ -164,6 +242,7 @@ def read_journal(path: str) -> JournalView:
         resumes=resumes,
         truncated=truncated,
         malformed=malformed,
+        jobs=jobs,
     )
 
 
@@ -227,6 +306,34 @@ class RunJournal:
         self._append_line(record.to_json())
         self._points_written += 1
         self._maybe_crash()
+
+    def append_job(self, record: JobRecord) -> None:
+        """Durably append one queue-job state transition.
+
+        Job records do not count toward ``REPRO_JOURNAL_CRASH_AFTER`` —
+        the crash-injection knob targets point execution, and the serve
+        tests kill the server process directly instead.
+        """
+        self._append_line(record.to_json())
+
+    def append_jobs(self, records: List[JobRecord]) -> None:
+        """Durably append several queue-job records with one fsync.
+
+        The batch-submission fast path: the per-record open/flush/fsync
+        cycle dominates single submissions, so a batch writes every line
+        under one file handle and syncs once. All lines become durable
+        together — a crash before the fsync loses the whole batch, never
+        a prefix that the caller believed was partially durable (the
+        store updates its in-memory state only after this returns).
+        """
+        if not records:
+            return
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        with open(self.path, "a", encoding="utf-8") as f:
+            for record in records:
+                f.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+            f.flush()
+            os.fsync(f.fileno())
 
     def _append_line(self, payload: dict) -> None:
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)

@@ -7,8 +7,9 @@ the sweep engine's dotted-path metric extraction. They all meet here:
 
 - :class:`Metrics` is the structural protocol every metric-bearing result
   implements — a zero-argument ``as_dict`` returning a JSON-safe mapping;
-- :func:`as_metrics` is how consumers (the orchestrator summary and the
-  sweep engine) obtain that mapping without hasattr probing;
+- :func:`as_metrics` is how consumers (the orchestrator summary, the
+  sweep engine, the serve layer) obtain that mapping without hasattr
+  probing;
 - :func:`extract_metric` resolves a dotted path inside the mapping — the
   sweep ``metrics:`` entries are paths into ``as_metrics`` output.
 

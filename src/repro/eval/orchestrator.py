@@ -69,6 +69,7 @@ class PointRequest:
     experiment: str
     params: Dict[str, Any] = field(default_factory=dict)
     label: Optional[str] = None
+    priority: int = 0  #: higher schedules first (service jobs set it)
 
     @property
     def display(self) -> str:
@@ -126,6 +127,7 @@ class _Job:
     overrides: Dict[str, Any]
     save_artifact: bool = True
     attempt: int = 0  #: 0-based index of the current try (resumes carry over)
+    priority: int = 0
 
 
 @dataclass
@@ -205,6 +207,7 @@ class Orchestrator:
         run_seed: int = 0,
         verbose: bool = True,
         show_text: bool = False,
+        persistent_pool: bool = False,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ConfigError(f"jobs must be >= 1 (omit it for the CPU count), got {jobs}")
@@ -213,10 +216,42 @@ class Orchestrator:
         self.run_seed = run_seed
         self.verbose = verbose
         self.show_text = show_text
+        #: Keep one warm worker pool across run()/run_points() calls (the
+        #: ``repro serve`` mode) instead of building a pool per batch.
+        self.persistent_pool = persistent_pool
+        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._pool_broken = False
 
     def _log(self, message: str) -> None:
         if self.verbose:
             print(message, flush=True)
+
+    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
+        """The shared worker pool, (re)built on first use or after a break.
+
+        A :class:`BrokenExecutor` poisons a pool permanently, so a broken
+        persistent pool is recycled rather than resubmitted to — the batch
+        that observed the break still reports its points failed, but the
+        *next* batch gets fresh workers instead of inheriting the corpse.
+        """
+        if self._pool_broken:
+            self.shutdown_pool()
+        if self._pool is None:
+            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool_broken = False
+        return self._pool
+
+    def shutdown_pool(self) -> None:
+        """Tear down the persistent worker pool (no-op when none is live)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
+    def __enter__(self) -> "Orchestrator":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.shutdown_pool()
 
     def run(
         self,
@@ -349,6 +384,7 @@ class Orchestrator:
                         overrides=overrides,
                         save_artifact=save_artifacts,
                         attempt=prior_attempts.get(label, 0),
+                        priority=point.priority,
                     )
                 )
 
@@ -382,12 +418,13 @@ class Orchestrator:
         journal: Optional[RunJournal] = None,
         retries: int = 0,
     ) -> None:
-        # Slow cost class first, then medium, then fast, so the pool's tail
-        # is short; the sort is stable, so request order holds within a
-        # class. Seeds come from labels and report rows keep request order,
-        # so execution order never reaches an artifact.
-        ordered = sorted(pending, key=lambda j: -COST_CLASSES.index(j.run.cost))
-        if self.jobs == 1 or len(pending) == 1:
+        # Higher-priority jobs first, then slow cost class before medium
+        # before fast, so the pool's tail is short; the sort is stable, so
+        # request order holds within a class. Seeds come from labels and
+        # report rows keep request order, so execution order never reaches
+        # an artifact.
+        ordered = sorted(pending, key=lambda j: (-j.priority, -COST_CLASSES.index(j.run.cost)))
+        if self.jobs == 1 or (len(pending) == 1 and not self.persistent_pool):
             for job in ordered:
                 while True:
                     record, error, error_type = self._run_inline(job)
@@ -396,6 +433,9 @@ class Orchestrator:
                     ):
                         break
                 self._finish(job, record, error, error_type, cache, stats, journal)
+            return
+        if self.persistent_pool:
+            self._drain_pool(self._ensure_pool(), ordered, cache, stats, journal, retries)
             return
         workers = min(self.jobs, len(ordered))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -431,6 +471,7 @@ class Orchestrator:
                     # same way and the report/journal stay complete.
                     error, error_type = format_error(exc), type(exc).__name__
                     retryable = False
+                    self._pool_broken = True
                 except Exception as exc:
                     error, error_type = format_error(exc), type(exc).__name__
                 if (
@@ -444,6 +485,7 @@ class Orchestrator:
                         )
                     except concurrent.futures.BrokenExecutor as exc:
                         # The pool broke between the failure and the retry.
+                        self._pool_broken = True
                         self._finish(
                             job,
                             None,

@@ -20,6 +20,7 @@ import dataclasses
 import importlib
 import inspect
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -198,6 +199,7 @@ class ExperimentRegistry:
         self._specs: Dict[str, ExperimentSpec] = {}
         self._sequence: Dict[str, int] = {}
         self._loaded = False
+        self._load_lock = threading.Lock()
 
     def _order_key(self, spec: ExperimentSpec) -> Tuple[int, int]:
         try:
@@ -227,19 +229,27 @@ class ExperimentRegistry:
 
         A module that is already imported but has no specs here (the
         registry was cleared) is reloaded so its decorators re-register.
+        Thread-safe: concurrent first callers (serve handler threads
+        validating submissions) serialize on one load instead of racing
+        a reload into duplicate registrations.
         """
         if self._loaded:
             return self
-        registered = {spec.module for spec in self._specs.values()}
-        for module in EXPERIMENT_MODULES:
-            needs_rerun = (
-                self is REGISTRY and module in sys.modules and module not in registered
-            )
-            if needs_rerun:
-                importlib.reload(sys.modules[module])
-            else:
-                importlib.import_module(module)
-        self._loaded = True
+        with self._load_lock:
+            if self._loaded:
+                return self
+            registered = {spec.module for spec in self._specs.values()}
+            for module in EXPERIMENT_MODULES:
+                needs_rerun = (
+                    self is REGISTRY
+                    and module in sys.modules
+                    and module not in registered
+                )
+                if needs_rerun:
+                    importlib.reload(sys.modules[module])
+                else:
+                    importlib.import_module(module)
+            self._loaded = True
         return self
 
     def get(self, name: str) -> ExperimentSpec:

@@ -881,6 +881,7 @@ def run_sweep(
     shard: Optional[Shard] = None,
     resume: bool = False,
     retries: int = 0,
+    orchestrator: Optional[Orchestrator] = None,
 ) -> SweepResult:
     """Expand ``spec`` and run every point through the orchestrator.
 
@@ -895,15 +896,29 @@ def run_sweep(
     :func:`merge_shards`); ``resume`` replays the journal plus the result
     cache and schedules only incomplete points; ``retries`` bounds
     re-execution of flaky points before they are quarantined.
+
+    ``orchestrator`` is the service (sweep-as-job) entry: pass a live
+    :class:`Orchestrator` — typically one holding a persistent worker
+    pool — and the sweep is scheduled on it instead of a throwaway
+    instance. Its ``jobs``/``use_cache`` settings take precedence over
+    the same-named arguments here; its ``run_seed`` is set to the spec's
+    seed so cache keys and resume planning stay consistent.
     """
     if retries < 0:
         raise ConfigError(f"retries must be >= 0, got {retries}")
+    if orchestrator is not None:
+        orchestrator.run_seed = spec.seed
+        use_cache = orchestrator.use_cache
     if resume and not use_cache:
         raise ConfigError(
             "--resume replays completed points from the result cache; "
             "it cannot be combined with --no-cache"
         )
-    orchestrator = Orchestrator(jobs=jobs, use_cache=use_cache, run_seed=spec.seed, verbose=verbose)
+    if orchestrator is None:
+        # Built before any output exists, so a bad ``jobs`` leaves no tree.
+        orchestrator = Orchestrator(
+            jobs=jobs, use_cache=use_cache, run_seed=spec.seed, verbose=verbose
+        )
     all_points = expand(spec, quick=quick, limit=limit)
     points = shard_points(all_points, shard)
     out_dir = sweep_dir(spec.name, shard)
@@ -969,7 +984,9 @@ def _uniform(docs: List[dict], key: str, context: str) -> Any:
     return docs[0].get(key)
 
 
-def merge_shards(spec: SweepSpec, verbose: bool = True) -> Tuple[dict, str, str]:
+def merge_shards(
+    spec: SweepSpec, verbose: bool = True, expect_count: Optional[int] = None
+) -> Tuple[dict, str, str]:
     """Consolidate per-shard runs into the single ``sweep.json`` + CSV.
 
     Reads every ``shards/*/sweep.json`` under the sweep's output tree,
@@ -977,6 +994,11 @@ def merge_shards(spec: SweepSpec, verbose: bool = True) -> Tuple[dict, str, str]
     source digest, disjoint points) and together cover the full expanded
     matrix, then writes the consolidated document exactly where an
     unsharded run would have: ``results/sweeps/<name>/``.
+
+    ``expect_count`` pins the shard width the caller fanned out (the
+    serve layer's merge step passes its child count) so a stale shard
+    tree from an earlier, differently-sized run is refused instead of
+    silently merged.
     """
     base = sweep_dir(spec.name)
     shards_root = os.path.join(base, "shards")
@@ -1015,6 +1037,11 @@ def merge_shards(spec: SweepSpec, verbose: bool = True) -> Tuple[dict, str, str]
     if len(counts) != 1:
         raise ConfigError(f"{context}: mixed shard counts {sorted(counts)}")
     count = counts.pop()
+    if expect_count is not None and count != expect_count:
+        raise ConfigError(
+            f"{context}: expected a {expect_count}-way shard tree, found {count}-way; "
+            "a stale tree from an earlier run is in the way"
+        )
     indices = sorted(doc["shard"]["index"] for doc in docs)
     if indices != list(range(1, count + 1)):
         missing = sorted(set(range(1, count + 1)) - set(indices))

@@ -24,7 +24,10 @@ One report is a JSON document (``BENCH_<timestamp>.json``)::
                         "throughput_items_per_s": ...},
             "scalar": {...}
           },
-          "speedup": 42.0             # scalar median / vector median
+          "speedup": 42.0,            # scalar median / vector median
+          "extra": {...}              # optional free-form workload metrics
+                                      # (e.g. serve claim-latency p50/p90,
+                                      # queue-depth series); never compared
         }, ...
       ]
     }
@@ -75,6 +78,11 @@ class BenchContext:
     #: Work units one workload call processes; factories set it so the
     #: harness can report throughput. 0 means "unknown".
     items: int = 0
+    #: Free-form JSON-safe metrics a workload records as it runs (e.g.
+    #: the serve load benches' claim-latency percentiles and queue-depth
+    #: series); lands in the report record under ``"extra"``. Baseline
+    #: comparison ignores it — extras are observability, not a gate.
+    extra: Dict[str, object] = field(default_factory=dict)
     rng: random.Random = field(init=False)
 
     def __post_init__(self) -> None:
@@ -133,22 +141,32 @@ def _mode_record(samples: List[float], items: int, warmup: int) -> dict:
 
 
 def run_spec(spec: BenchSpec, quick: bool = False) -> dict:
-    """Time one benchmark in each of its modes; returns its report record."""
+    """Time one benchmark in each of its modes; returns its report record.
+
+    A factory-returned workload may carry a ``close`` attribute — a
+    zero-argument teardown the harness calls once that mode's timing is
+    done (the serve load benches use it to stop their localhost server
+    and delete its temp queue). Anything the workload put into
+    ``context.extra`` rides along in the record under ``"extra"``.
+    """
     repeat = _QUICK_REPEAT if quick else _FULL_REPEAT
     warmup = _QUICK_WARMUP if quick else _FULL_WARMUP
     modes: Dict[str, dict] = {}
     items = 0
+    extra: Optional[Dict[str, object]] = None
     mode_plan = [MODE_VECTOR, MODE_SCALAR] if spec.paired else [MODE_VECTOR]
     for mode in mode_plan:
         context = BenchContext(quick=quick)
         if mode == MODE_SCALAR:
             with vec.scalar_fallback():
                 workload = spec.factory(context)
-                samples = _time_workload(workload, repeat, warmup)
+                samples = _time_and_close(workload, repeat, warmup)
         else:
             workload = spec.factory(context)
-            samples = _time_workload(workload, repeat, warmup)
+            samples = _time_and_close(workload, repeat, warmup)
         items = context.items or items
+        if context.extra:
+            extra = dict(context.extra)
         modes[mode] = _mode_record(samples, context.items, warmup)
     speedup = None
     if spec.paired:
@@ -164,7 +182,19 @@ def run_spec(spec: BenchSpec, quick: bool = False) -> dict:
         "modes": modes,
         "speedup": speedup,
     }
+    if extra is not None:
+        record["extra"] = extra
     return record
+
+
+def _time_and_close(workload: Callable[[], object], repeat: int, warmup: int) -> List[float]:
+    """Time a workload, then run its ``close`` teardown if it has one."""
+    try:
+        return _time_workload(workload, repeat, warmup)
+    finally:
+        close = getattr(workload, "close", None)
+        if callable(close):
+            close()
 
 
 def run_benchmarks(

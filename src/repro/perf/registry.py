@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import importlib
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -24,6 +25,7 @@ from repro.errors import ConfigError
 BENCH_MODULES: Tuple[str, ...] = (
     "repro.perf.kernels",
     "repro.perf.trace_replay",
+    "repro.perf.serve_load",
 )
 
 
@@ -45,6 +47,7 @@ class BenchRegistry:
     def __init__(self) -> None:
         self._specs: Dict[str, BenchSpec] = {}
         self._loaded = False
+        self._load_lock = threading.Lock()
 
     def register(self, spec: BenchSpec) -> BenchSpec:
         if spec.name in self._specs:
@@ -61,19 +64,26 @@ class BenchRegistry:
 
         A module that is already imported but has no specs here (the
         registry was cleared) is reloaded so its decorators re-register.
+        Thread-safe: concurrent first callers serialize on one load
+        instead of racing a reload into duplicate registrations.
         """
         if self._loaded:
             return self
-        registered = {spec.module for spec in self._specs.values()}
-        for module in BENCH_MODULES:
-            needs_rerun = (
-                self is BENCH_REGISTRY and module in sys.modules and module not in registered
-            )
-            if needs_rerun:
-                importlib.reload(sys.modules[module])
-            else:
-                importlib.import_module(module)
-        self._loaded = True
+        with self._load_lock:
+            if self._loaded:
+                return self
+            registered = {spec.module for spec in self._specs.values()}
+            for module in BENCH_MODULES:
+                needs_rerun = (
+                    self is BENCH_REGISTRY
+                    and module in sys.modules
+                    and module not in registered
+                )
+                if needs_rerun:
+                    importlib.reload(sys.modules[module])
+                else:
+                    importlib.import_module(module)
+            self._loaded = True
         return self
 
     def get(self, name: str) -> BenchSpec:

@@ -45,14 +45,13 @@ import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.eval import cache as result_cache
-from repro.eval.cost import CostModel
 from repro.eval.journal import JOB_DONE, JOB_FAILED, JOB_SUBMITTED, JobRecord
 from repro.eval.orchestrator import STATUS_CACHED, Orchestrator, derive_seed, format_error
-from repro.eval.registry import REGISTRY, normalize_params
+from repro.eval.registry import normalize_params
 from repro.eval.tables import save_result
 from repro.serve import schema
 from repro.serve.execution import execute_job
@@ -82,12 +81,9 @@ class JobService:
         start_executor: bool = True,
         external_only: bool = False,
         autosplit: int = 1,
-        autosplit_min_s: float = 0.0,
     ) -> None:
         if autosplit < 1:
             raise ConfigError(f"--autosplit must be >= 1, got {autosplit}")
-        if autosplit_min_s < 0:
-            raise ConfigError(f"--autosplit-min-seconds must be >= 0, got {autosplit_min_s}")
         self.store = JobStore(queue_dir)
         self.orchestrator = Orchestrator(jobs=workers, verbose=False, persistent_pool=True)
         self.once = once
@@ -96,11 +92,6 @@ class JobService:
         self.start_executor = start_executor
         self.external_only = external_only
         self.autosplit = autosplit
-        self.autosplit_min_s = autosplit_min_s
-        #: Lazily-built cost model for fan-out sizing; pinned for the
-        #: server's lifetime so a resubmitted sweep resizes identically
-        #: (and therefore fingerprints identically, keeping dedupe hits).
-        self._cost_model: Optional[CostModel] = None
         self.source_digest = result_cache.source_digest()
         self._stop = threading.Event()
         self._failed_jobs = 0
@@ -176,7 +167,6 @@ class JobService:
         (then the parent is born terminal like any cache hit).
         """
         spec, priority = schema.validate_submission(payload, autosplit=self.autosplit)
-        spec = self._size_fanout(payload, spec)
         tags = schema.submission_tags(payload)
         fp = schema.fingerprint(spec, self.source_digest)
         cached = self._probe_cache(spec, fp)
@@ -202,49 +192,6 @@ class JobService:
         )
         return record
 
-    def _size_fanout(self, payload: Any, spec: Dict[str, Any]) -> Dict[str, Any]:
-        """Right-size a server-default sweep fan-out from the cost model.
-
-        ``--autosplit N`` is a fixed width; with ``--autosplit-min-seconds``
-        the width shrinks until every shard job carries at least that much
-        *predicted* work, so a 4-point quick sweep does not fan out into
-        jobs whose queue/merge overhead dwarfs their points. Only applies
-        to widths the server itself chose — a client that asked for
-        ``shards``/``shard`` explicitly is never second-guessed.
-        """
-        width = spec.get("shards", 1)
-        if width <= 1 or self.autosplit_min_s <= 0:
-            return spec
-        if isinstance(payload, Mapping) and (
-            payload.get("shards") is not None or payload.get("shard") is not None
-        ):
-            return spec
-        from repro.eval.sweep import expand, load_spec
-
-        if self._cost_model is None:
-            self._cost_model = CostModel.from_results()
-        sweep_spec = load_spec(spec["spec"])
-        cost_class = REGISTRY.get(sweep_spec.experiment).cost
-        total = sum(
-            self._cost_model.predict(
-                sweep_spec.experiment, point.params, cost_class=cost_class
-            ).seconds
-            for point in expand(sweep_spec, quick=spec["quick"], limit=spec["limit"])
-        )
-        sized = max(1, min(width, int(total // self.autosplit_min_s)))
-        if sized == width:
-            return spec
-        resized = dict(spec)
-        if sized > 1:
-            resized["shards"] = sized
-        else:
-            resized.pop("shards", None)
-        self._log(
-            f"autosplit resized {width} -> {sized} shard job(s) "
-            f"(predicted {total:.1f}s of work, min {self.autosplit_min_s:.1f}s/shard)"
-        )
-        return resized
-
     def submit_batch(self, payload: Any) -> Dict[str, Any]:
         """Validate, cache-probe, and enqueue a whole submission batch.
 
@@ -263,7 +210,6 @@ class JobService:
         for index, body in enumerate(bodies):
             try:
                 spec, priority = schema.validate_submission(body, autosplit=self.autosplit)
-                spec = self._size_fanout(body, spec)
                 tags = schema.submission_tags(body)
                 fp = schema.fingerprint(spec, self.source_digest)
                 cached = self._probe_cache(spec, fp)
@@ -707,5 +653,4 @@ def build_service(args: Any) -> JobService:
         start_executor=os.environ.get("REPRO_SERVE_NO_EXECUTOR") != "1",
         external_only=args.external_only,
         autosplit=args.autosplit,
-        autosplit_min_s=args.autosplit_min_seconds,
     )

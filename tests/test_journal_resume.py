@@ -77,15 +77,6 @@ def results_env(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def sweeps_env(tmp_path, monkeypatch):
-    root = tmp_path / "sweep-specs"
-    root.mkdir()
-    (root / "m22.toml").write_text(MAC_2X2_TOML)
-    monkeypatch.setenv("REPRO_SWEEPS_DIR", str(root))
-    return root
-
-
-@pytest.fixture
 def temp_experiment():
     """Inject a throwaway experiment into the global registry."""
     injected = []
@@ -135,16 +126,15 @@ class TestJournalFile:
         assert view.failed_attempts("p/b", "k2") == 2
         assert view.failed_attempts("p/b", "other-key") == 0
 
-    def test_queue_job_lines_are_skipped(self, tmp_path):
-        # Journals written by the retired job queue interleave ``job``
-        # lines; the reader skips them instead of failing.
+    def test_unknown_kinds_are_skipped(self, tmp_path):
+        # Forward compatibility: a line of a kind this reader does not
+        # know is skipped instead of failing the whole journal.
         path = str(tmp_path / "j.jsonl")
         journal = RunJournal.start(path, {"sweep": "s"})
         record = PointRecord(label="p", experiment="e", key="k", seed=0,
                              status="executed")
         with open(path, "a", encoding="utf-8") as f:
-            f.write(json.dumps({"kind": "job", "schema": 1, "job_id": "j1",
-                                "task": "sweep", "status": "submitted"}) + "\n")
+            f.write(json.dumps({"kind": "lease-audit", "schema": 1, "id": "a1"}) + "\n")
         journal.append(record)
         view = read_journal(path)
         assert view.records == [record]
@@ -683,24 +673,6 @@ class TestCli:
         assert "fig16_overall" not in out  # the subset really subsets
         assert main(["digest", "--check", path, "--only", "nope"]) == 2
         assert "not in" in capsys.readouterr().err
-
-
-class TestSweepStatusNoJournal:
-    def test_exit_3_with_distinct_message(self, results_env, capsys):
-        from repro.cli import EXIT_NO_JOURNAL, main
-
-        code = main(["sweep", "status", "mee_geometry"])
-        assert code == EXIT_NO_JOURNAL == 3
-        err = capsys.readouterr().err
-        assert "no run journal found" in err and "has never run" in err
-
-    def test_incomplete_sweep_still_exits_1(self, results_env, sweeps_env, capsys):
-        from repro.cli import main
-
-        assert main(["sweep", "run", "m22", "--shard", "1/2", "--quiet", "--jobs", "1"]) == 0
-        capsys.readouterr()
-        assert main(["sweep", "status", "m22"]) == 1  # pending points, not exit 3
-        assert "pending" in capsys.readouterr().out
 
 
 class TestDigestFile:

@@ -297,9 +297,10 @@ class TestBenchRegistry:
             context = BenchContext(quick=True)
             if scalar:
                 with vec.scalar_fallback():
-                    spec.factory(context)()
+                    workload = spec.factory(context)
+                    _call_and_close(workload)
             else:
-                spec.factory(context)()
+                _call_and_close(spec.factory(context))
             assert context.items > 0
 
     def test_clear_then_load_all_re_registers(self):
@@ -314,6 +315,16 @@ class TestBenchRegistry:
 
 
 # -- harness -------------------------------------------------------------------
+
+
+def _call_and_close(workload) -> None:
+    """Call a workload once, then run its ``close`` teardown as the harness does."""
+    try:
+        workload()
+    finally:
+        close = getattr(workload, "close", None)
+        if callable(close):
+            close()
 
 
 def _tiny_registry() -> BenchRegistry:
